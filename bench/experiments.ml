@@ -605,17 +605,17 @@ let bfs_trial net rng params corruption =
     List.exists (fun i -> Mpc.Outcome.is_abort outs.(i)) (Netsim.Corruption.honest_list corruption),
     Mpc.Sparse_network.max_degree outs )
 
-(* One trial of the giant tier, in exactly the memory shape the streaming
-   backend exists for: [Net.Sparse] (the giant tier's network) allocates
-   party state on first touch, [Sparse_network.run_iter] streams
-   outcomes so the n-element [Iset] array (gigabytes at n = 10⁶) is never
-   materialized, and connectivity is decided by a streaming union-find
-   over the same edge set the full-tier BFS walks.  Honest hop relations
-   are symmetric (i samples j ⟹ i notifies j ⟹ i ∈ outs(j) unless j
-   aborted), so unioning each undirected edge at its higher-id endpoint —
-   by which time the lower endpoint's abort status is known — yields the
-   BFS verdict exactly; test_net_sparse pins the two against each other
-   at dense scales. *)
+(* One trial of the giant tier, in a memory shape that holds at n = 10⁶:
+   the network allocates a party's inbox and peer set on first touch,
+   [Sparse_network.run_iter] streams outcomes so the n-element [Iset]
+   array (gigabytes at n = 10⁶) is never materialized, and connectivity
+   is decided by a streaming union-find over the same edge set the
+   full-tier BFS walks.  Honest hop relations are symmetric (i samples j
+   ⟹ i notifies j ⟹ i ∈ outs(j) unless j aborted), so unioning each
+   undirected edge at its higher-id endpoint — by which time the lower
+   endpoint's abort status is known — yields the BFS verdict exactly;
+   test_sparse_gossip's "union-find = BFS" case pins the two against each
+   other. *)
 let union_find_trial net rng (params : Mpc.Params.t) corruption =
   let n = params.n in
   (* One int per party plus an abort byte — 9n bytes, versus the n Iset
@@ -699,17 +699,17 @@ let e7 =
               table ~title:(Printf.sprintf "%d trials per row" (trials_of rows)) ~columns e7_cells
                 rows);
         ];
-      block Giant "E7  (giant tier) SparseNetwork on the streaming backend, n up to 10^6"
+      block Giant "E7  (giant tier) SparseNetwork with streamed outcomes, n up to 10^6"
         ~intro:
-          "same protocol as the full tier, run on Net.Sparse: party state is\n\
-           allocated lazily and outcomes stream through run_iter, so n = 10^5\n\
-           fits comfortably under 2 GB peak RSS and n = 10^6 completes.\n\n"
+          "same protocol as the full tier: party state is allocated on first\n\
+           touch and outcomes stream through run_iter, so n = 10^5 peaks near\n\
+           0.8 GB RSS and n = 10^6 completes.\n\n"
         [
           sweep ~label:"(n,h) x trials, alpha 2" ~show:show_trials
             ~full:[ (10_000, 2_500, 2); (100_000, 50_000, 1); (1_000_000, 1_000_000, 1) ]
             ~quick:[ (10_000, 2_500, 1) ]
             (e7_row ~alpha:2 ~prefix:"giant " union_find_trial)
-            (table ~title:"streaming backend (Net.Sparse), alpha = 2"
+            (table ~title:"streamed outcomes (run_iter), alpha = 2"
                ~columns:(columns @ [ "wall s"; "peak rss" ])
                (fun (((r : Io.run), _, _) as row) ->
                  e7_cells row

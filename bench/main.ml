@@ -126,7 +126,9 @@ let () =
         ("--list", Arg.Set list, " list experiments with their tiers and sweep points");
         ("--quick", Arg.Set quick, " reduced sweeps and trial counts (the CI tier)");
         ("--huge", Arg.Unit (set_tier Huge), " huge tier: n up to 2048, rounds split over --jobs");
-        ("--giant", Arg.Unit (set_tier Giant), " giant tier: n up to 10^6 on Net.Sparse");
+        ( "--giant",
+          Arg.Unit (set_tier Giant),
+          " giant tier: n up to 10^6, outcomes streamed through run_iter" );
         ( "--async",
           Arg.Set async_mode,
           " add the event-transport rows (E1/E6/E9); with --only soak, async cases" );

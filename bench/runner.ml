@@ -14,9 +14,9 @@
      each round across domains via [Netsim.Net.run_round] (bit-identical
      at any --jobs by the run_round contract).
 
-   The tier also picks the network a row builds through [net]: dense and
-   synchronous, the adversarially scheduled event transport ([Async]), or
-   the lazily allocated [Net.Sparse] backend ([Giant]).
+   The tier also picks the network a row builds through [net]: the
+   synchronous transport, or the adversarially scheduled event transport
+   ([Async]).
 
    A row meters its work with [measure], which times it, asserts every
    network it meters against the protocol's cost spec (summed over the
@@ -87,8 +87,7 @@ let new_ctx ?(pool = !pool) tier = { tier; pool; runs = []; failed = 0 }
    async delivery schedule. *)
 let net ctx ~seed n =
   match ctx.tier with
-  | Base | Huge -> Net.create n
-  | Giant -> Net.create ~backend:Net.Sparse n
+  | Base | Huge | Giant -> Net.create n
   | Async ->
     let rng = Util.Prng.derive (prng seed) ~key:0xA5ED in
     Net.create ~transport:(Netsim.Event_net.transport ~rng async_cfg) n

@@ -55,7 +55,7 @@ type config = { latency : latency; horizon : int; scheduler : scheduler }
 
 (** [Fixed 1] latency, [horizon = 0], [Fifo]: the event machinery
     degenerates to synchronous lockstep — the differential suite pins
-    transcript equality with {!Transport.sync_dense} on this config. *)
+    transcript equality with {!Transport.sync} on this config. *)
 val zero_latency_fifo : config
 
 (** Largest latency the distribution can draw. *)

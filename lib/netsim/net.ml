@@ -5,81 +5,62 @@
    partitioned on every [recv_from]).  At the sweep sizes the experiments
    run (n up to 512 and beyond), that bookkeeping dominated wall-clock.
 
-   The rewrite buckets traffic by sender at both ends:
+   One representation now serves every n, from the unit tests' handful of
+   parties to the giant tier's 10⁶, with resident state O(n) words plus
+   what parties actually exchanged:
 
-   - Sent-but-undelivered messages live in a {!Transport.t} (per-sender
-     FIFOs for the synchronous transports).  [send] is O(1) and the sync
-     [advance] delivers by walking sender ids in increasing order — which
-     IS the documented delivery order (sender id, then send order), so no
-     sort is ever needed.  [Net] keeps mailboxes, accounting, and the
-     round clock; the transport keeps only the in-flight buffer and the
-     delivery schedule, so an event-queue transport (Event_net) can delay
-     and reorder under identical protocol code.
-   - Each recipient keeps an arrival-order [log] (growable array of
-     cells) plus per-sender FIFOs of the same cells, built lazily in a
-     hash table keyed by sender.  [recv] walks the log once; [recv_from]
-     pops only that sender's queue, so it is O(messages from that sender)
-     and repeated polling of an empty pair costs O(1).  A cell popped by
-     one view is marked dead so the other view skips it.
+   - Sent-but-undelivered messages live in a {!Transport.t}.  [send] is
+     O(1); the sync transport's [advance] delivers in the documented
+     order (sender id, then send order).  [Net] keeps mailboxes,
+     accounting, and the round clock; the transport keeps only the
+     in-flight buffer and the delivery schedule, so an event-queue
+     transport (Event_net) can delay and reorder under identical protocol
+     code.
+   - Bit counters are flat length-n int arrays, and each party's peers
+     are one {!Util.Intset}, created on the first send to or from it.
+   - A party's inbox record is created on its first delivery.  It keeps
+     an arrival-order log as two parallel arrays (sender ids, payloads),
+     so a delivery allocates nothing per message or per recipient–sender
+     pair.  [recv] walks the log once.  [recv_from]/[recv_one] find a
+     sender's messages by binary search over the log in sender order:
+     while arrivals have ascended by sender — every sync step does, so a
+     lockstep inbox drained once per round always does — the log is its
+     own index.  Otherwise the first [recv_from]/[recv_one] since the
+     last arrival builds a per-sender index (the live log positions,
+     stably sorted by sender), and the index is dropped when the inbox
+     drains; [recv]-only protocols never build one.  A payload drained
+     by one view is overwritten with a sentinel so the other view skips
+     it.
 
-   Two representations sit behind one [t]:
+   Delivery order, accounting, and the external API are identical to the
+   original list-based implementation (see test_netsim's model
+   property). *)
 
-   - {b Dense} — the original layout: one inbox and counter slot per
-     party, a peer bitmap of n²/8 bytes total (pending queues in
-     [Transport.sync_dense]).  O(1) everything, but Θ(n²) resident even
-     when almost every party is idle, which caps runs near n = 2048.
-   - {b Sparse} — party state ([pstate]: inbox log, per-sender FIFOs,
-     bit counters, an {!Util.Intset} of peers) is allocated on first
-     touch and held in an [(int, pstate) Hashtbl]; undelivered traffic
-     lives in [Transport.sync_sparse]'s per-{e active-sender} hash of
-     FIFOs.  Memory is O(touched parties + in-flight messages), so the
-     sparse-graph protocols (Algs 5–7) run at n = 10⁵–10⁶.  [advance]
-     sorts the active sender ids (O(a log a), a = active senders) to
-     realize the exact dense delivery order.
-
-   Delivery order, accounting, and the external API are identical
-   between backends and to the original list-based implementation (see
-   test_netsim's model-equivalence property and test_net_sparse's
-   dense≡sparse differential suite). *)
-
+(* Accepted by [create] and ignored; see net.mli. *)
 type backend = Dense | Sparse
 
-type cell = { c_src : int; c_payload : bytes; mutable c_live : bool }
-
-let dummy_cell = { c_src = -1; c_payload = Bytes.empty; c_live = false }
+(* Marks a drained log slot.  Never returned to a caller, so no payload a
+   protocol holds can be physically equal to it. *)
+let drained = Bytes.make 1 '\000'
 
 type inbox = {
-  mutable log : cell array; (* arrival order; indices < log_len are valid *)
-  mutable log_len : int;
-  mutable live : int; (* number of undrained cells in the log *)
-  by_sender : cell Queue.t option array; (* indexed by sender id, lazily allocated *)
+  mutable srcs : int array; (* arrival order; indices < len are valid *)
+  mutable payloads : bytes array; (* [drained] once read *)
+  mutable len : int;
+  mutable live : int; (* number of undrained slots in the log *)
+  mutable sorted : bool; (* srcs.(0 .. len-1) ascend: the log is its own index *)
+  mutable index : int array; (* when not [sorted]: live positions by sender *)
+  mutable indexed : int; (* [len] when [index] was built, -1 for none *)
 }
 
-(* Sparse per-party state: everything the dense backend spreads over five
-   parallel arrays, packed into one lazily created record.  [p_by_sender]
-   replaces the O(n) option array with a hash keyed by the (few) senders
-   that actually addressed this party; [p_peers] replaces the n/8-byte
-   bitmap row with a compact int set sized to the party's degree. *)
-type pstate = {
-  mutable p_log : cell array;
-  mutable p_log_len : int;
-  mutable p_live : int;
-  p_by_sender : (int, cell Queue.t) Hashtbl.t;
-  mutable p_sent_bits : int;
-  mutable p_recv_bits : int;
-  p_peers : Util.Intset.t;
-}
+(* Every party's inbox until its first delivery.  Never written: each
+   receive path returns before touching an inbox with [live = 0]. *)
+let no_inbox =
+  { srcs = [||]; payloads = [||]; len = 0; live = 0; sorted = true; index = [||]; indexed = -1 }
 
-type dense = {
-  inboxes : inbox array;
-  sent_bits : int array;
-  recv_bits : int array;
-  peer_bits : bytes array; (* peer_bits.(i): bit j set iff i exchanged with j *)
-}
-
-type sparse = { states : (int, pstate) Hashtbl.t }
-
-type repr = D of dense | S of sparse
+(* Every party's peer set until its first send or receipt.  Never
+   written: [add_peer] replaces it before adding. *)
+let no_peers = Util.Intset.create ()
 
 exception Livelock of { rounds : int; max_rounds : int }
 
@@ -94,77 +75,43 @@ let () =
 type t = {
   num_parties : int;
   mutable max_rounds : int option; (* mutable for [with_round_limit] *)
-  net_backend : backend;
   transport : Transport.t; (* owns sent-but-undelivered messages *)
-  deliver : src:int -> dst:int -> bytes -> unit; (* into [repr]'s mailboxes *)
+  deliver : src:int -> dst:int -> bytes -> unit; (* into [inboxes] *)
+  inboxes : inbox array;
+  sent_bits : int array;
+  recv_bits : int array;
+  peers : Util.Intset.t array;
   mutable round : int;
   mutable total_messages : int;
-  mutable total_sent_bits : int; (* running sum — [total_bits] must be O(1)
-                                    when only a handful of the n counters
-                                    are materialized *)
-  repr : repr;
+  mutable total_sent_bits : int; (* running sum, so [total_bits] is O(1) *)
 }
 
 let n t = t.num_parties
-let backend t = t.net_backend
 
 let check_party t i name =
   if i < 0 || i >= t.num_parties then
     invalid_arg (Printf.sprintf "Net.%s: party %d out of range" name i)
 
-(* ---- Sparse party state ---------------------------------------------- *)
-
-let fresh_pstate () =
-  {
-    p_log = [||];
-    p_log_len = 0;
-    p_live = 0;
-    p_by_sender = Hashtbl.create 4;
-    p_sent_bits = 0;
-    p_recv_bits = 0;
-    p_peers = Util.Intset.create ();
-  }
-
-let pstate s i =
-  match Hashtbl.find_opt s.states i with
-  | Some p -> p
-  | None ->
-    let p = fresh_pstate () in
-    Hashtbl.add s.states i p;
-    p
-
-let pstate_opt s i = Hashtbl.find_opt s.states i
-
 (* ---- Sending --------------------------------------------------------- *)
 
-(* Peer tracking is a bit per (party, peer): [send] marks two bits with no
-   allocation, where the persistent-set version paid two [Iset.add]
-   (O(log n) alloc each) on EVERY message — the single hottest line of the
-   all-to-all distribute phase under a GC-bound profile. *)
-let[@inline] mark_peer d i j =
-  let b = d.peer_bits.(i) in
-  let k = j lsr 3 in
-  Bytes.unsafe_set b k
-    (Char.unsafe_chr (Char.code (Bytes.unsafe_get b k) lor (1 lsl (j land 7))))
+let add_peer t i j =
+  let s = Array.unsafe_get t.peers i in
+  if s != no_peers then Util.Intset.add s j
+  else begin
+    let s = Util.Intset.create () in
+    Util.Intset.add s j;
+    t.peers.(i) <- s
+  end
 
 let send t ~src ~dst payload =
   check_party t src "send";
   check_party t dst "send";
   if src = dst then invalid_arg "Net.send: self-send";
   let bits = 8 * Bytes.length payload in
-  (match t.repr with
-  | D d ->
-    d.sent_bits.(src) <- d.sent_bits.(src) + bits;
-    d.recv_bits.(dst) <- d.recv_bits.(dst) + bits;
-    mark_peer d src dst;
-    mark_peer d dst src
-  | S s ->
-    let ps = pstate s src in
-    ps.p_sent_bits <- ps.p_sent_bits + bits;
-    Util.Intset.add ps.p_peers dst;
-    let pd = pstate s dst in
-    pd.p_recv_bits <- pd.p_recv_bits + bits;
-    Util.Intset.add pd.p_peers src);
+  t.sent_bits.(src) <- t.sent_bits.(src) + bits;
+  t.recv_bits.(dst) <- t.recv_bits.(dst) + bits;
+  add_peer t src dst;
+  add_peer t dst src;
   (* Metering happens at send time regardless of when (or in what order)
      the transport chooses to deliver — cost is a property of what the
      protocol said, not of the schedule. *)
@@ -174,91 +121,48 @@ let send t ~src ~dst payload =
 
 (* ---- Delivery -------------------------------------------------------- *)
 
-let deliver_dense d ~src ~dst payload =
-  let ib = d.inboxes.(dst) in
-  let cell = { c_src = src; c_payload = payload; c_live = true } in
-  (if ib.log_len = Array.length ib.log then begin
-     let grown = Array.make (max 8 (2 * ib.log_len)) dummy_cell in
-     Array.blit ib.log 0 grown 0 ib.log_len;
-     ib.log <- grown
-   end);
-  ib.log.(ib.log_len) <- cell;
-  ib.log_len <- ib.log_len + 1;
-  ib.live <- ib.live + 1;
-  let q =
-    match ib.by_sender.(src) with
-    | Some q -> q
-    | None ->
-      let q = Queue.create () in
-      ib.by_sender.(src) <- Some q;
-      q
+let deliver inboxes ~src ~dst payload =
+  let ib =
+    let ib = inboxes.(dst) in
+    if ib != no_inbox then ib
+    else begin
+      let ib = { no_inbox with srcs = Array.make 8 0; payloads = Array.make 8 drained } in
+      inboxes.(dst) <- ib;
+      ib
+    end
   in
-  Queue.push cell q
+  let k = ib.len in
+  if k = Array.length ib.srcs then begin
+    let srcs = Array.make (2 * k) 0 and payloads = Array.make (2 * k) drained in
+    Array.blit ib.srcs 0 srcs 0 k;
+    Array.blit ib.payloads 0 payloads 0 k;
+    ib.srcs <- srcs;
+    ib.payloads <- payloads
+  end;
+  if k > 0 && Array.unsafe_get ib.srcs (k - 1) > src then ib.sorted <- false;
+  ib.srcs.(k) <- src;
+  ib.payloads.(k) <- payload;
+  ib.len <- k + 1;
+  ib.live <- ib.live + 1
 
-let deliver_sparse s ~src ~dst payload =
-  let p = pstate s dst in
-  let cell = { c_src = src; c_payload = payload; c_live = true } in
-  (if p.p_log_len = Array.length p.p_log then begin
-     let grown = Array.make (max 8 (2 * p.p_log_len)) dummy_cell in
-     Array.blit p.p_log 0 grown 0 p.p_log_len;
-     p.p_log <- grown
-   end);
-  p.p_log.(p.p_log_len) <- cell;
-  p.p_log_len <- p.p_log_len + 1;
-  p.p_live <- p.p_live + 1;
-  let q =
-    match Hashtbl.find_opt p.p_by_sender src with
-    | Some q -> q
-    | None ->
-      let q = Queue.create () in
-      Hashtbl.add p.p_by_sender src q;
-      q
-  in
-  Queue.push cell q
-
-let create ?(backend = Dense) ?transport ?max_rounds num_parties =
+let create ?backend:_ ?transport ?max_rounds num_parties =
   if num_parties <= 0 then invalid_arg "Net.create: need at least one party";
   (match max_rounds with
   | Some m when m <= 0 -> invalid_arg "Net.create: max_rounds must be positive"
   | _ -> ());
-  let repr =
-    match backend with
-    | Dense ->
-      D
-        {
-          inboxes =
-            Array.init num_parties (fun _ ->
-                { log = [||]; log_len = 0; live = 0; by_sender = Array.make num_parties None });
-          sent_bits = Array.make num_parties 0;
-          recv_bits = Array.make num_parties 0;
-          peer_bits =
-            Array.init num_parties (fun _ -> Bytes.make ((num_parties + 7) / 8) '\000');
-        }
-    | Sparse -> S { states = Hashtbl.create 64 }
-  in
-  let transport =
-    match transport with
-    | Some tr -> tr
-    | None -> (
-      match backend with
-      | Dense -> Transport.sync_dense ~n:num_parties
-      | Sparse -> Transport.sync_sparse ())
-  in
-  let deliver =
-    match repr with
-    | D d -> fun ~src ~dst payload -> deliver_dense d ~src ~dst payload
-    | S s -> fun ~src ~dst payload -> deliver_sparse s ~src ~dst payload
-  in
+  let inboxes = Array.make num_parties no_inbox in
   {
     num_parties;
     max_rounds;
-    net_backend = backend;
-    transport;
-    deliver;
+    transport = (match transport with Some tr -> tr | None -> Transport.sync ());
+    deliver = (fun ~src ~dst payload -> deliver inboxes ~src ~dst payload);
+    inboxes;
+    sent_bits = Array.make num_parties 0;
+    recv_bits = Array.make num_parties 0;
+    peers = Array.make num_parties no_peers;
     round = 0;
     total_messages = 0;
     total_sent_bits = 0;
-    repr;
   }
 
 let step t =
@@ -272,11 +176,11 @@ let step t =
   (match t.max_rounds with
   | Some m when t.round >= m -> raise (Livelock { rounds = t.round; max_rounds = m })
   | _ -> ());
-  (* One transport tick.  The synchronous transports deliver everything
-     in flight in the canonical order (ascending sender id, then send
+  (* One transport tick.  The sync transport delivers everything in
+     flight in the canonical order (ascending sender id, then send
      order); the event transport releases whatever its schedule says is
      due.  Skipped entirely when nothing is in flight, so idle steps
-     stay O(1) on the sparse backend. *)
+     stay O(1). *)
   if t.transport.Transport.in_flight () > 0 then t.transport.Transport.advance ~deliver:t.deliver;
   t.round <- t.round + 1
 
@@ -305,180 +209,101 @@ let with_round_limit t ~extra f =
 (* ---- Receiving ------------------------------------------------------- *)
 
 let reset_inbox ib =
-  (* Drop cell references so drained payloads can be collected. *)
-  for k = 0 to ib.log_len - 1 do
-    ib.log.(k) <- dummy_cell
-  done;
-  ib.log_len <- 0;
-  ib.live <- 0
-
-let reset_pstate_inbox p =
-  for k = 0 to p.p_log_len - 1 do
-    p.p_log.(k) <- dummy_cell
-  done;
-  p.p_log_len <- 0;
-  p.p_live <- 0;
-  (* [reset] (not [clear]) drops the bucket array back to its initial
-     size: a party that was hot once must not pin a large table forever. *)
-  Hashtbl.reset p.p_by_sender
+  (* Drop payload references so drained messages can be collected. *)
+  Array.fill ib.payloads 0 ib.len drained;
+  ib.len <- 0;
+  ib.live <- 0;
+  ib.sorted <- true;
+  ib.index <- [||];
+  ib.indexed <- -1
 
 let recv t ~dst =
   check_party t dst "recv";
-  match t.repr with
-  | D d ->
-    let ib = d.inboxes.(dst) in
-    if ib.live = 0 then begin
-      reset_inbox ib;
-      []
-    end
-    else begin
-      let acc = ref [] in
-      for k = ib.log_len - 1 downto 0 do
-        let c = ib.log.(k) in
-        if c.c_live then begin
-          c.c_live <- false;
-          (match ib.by_sender.(c.c_src) with
-          | Some q -> Queue.clear q
-          | None -> ());
-          acc := (c.c_src, c.c_payload) :: !acc
-        end
-      done;
-      reset_inbox ib;
-      !acc
-    end
-  | S s -> (
-    match pstate_opt s dst with
-    | None -> []
-    | Some p ->
-      if p.p_live = 0 then begin
-        reset_pstate_inbox p;
-        []
+  let ib = t.inboxes.(dst) in
+  if ib.live = 0 then []
+  else begin
+    let acc = ref [] in
+    for k = ib.len - 1 downto 0 do
+      let p = ib.payloads.(k) in
+      if p != drained then acc := (ib.srcs.(k), p) :: !acc
+    done;
+    reset_inbox ib;
+    !acc
+  end
+
+(* Log position of the message at rank [r] in sender order. *)
+let[@inline] position ib r = if ib.sorted then r else Array.unsafe_get ib.index r
+
+(* [f] folded over [src]'s undrained payloads in arrival order, draining
+   them.  Requires [ib.live > 0], so [no_inbox] is never written. *)
+let drain_sender ib src f init =
+  if (not ib.sorted) && ib.indexed <> ib.len then begin
+    let index = Array.make ib.live 0 and j = ref 0 in
+    for k = 0 to ib.len - 1 do
+      if ib.payloads.(k) != drained then begin
+        index.(!j) <- k;
+        incr j
       end
-      else begin
-        let acc = ref [] in
-        for k = p.p_log_len - 1 downto 0 do
-          let c = p.p_log.(k) in
-          if c.c_live then begin
-            c.c_live <- false;
-            acc := (c.c_src, c.c_payload) :: !acc
-          end
-        done;
-        (* No per-sender queue clears needed: the whole index is reset. *)
-        reset_pstate_inbox p;
-        !acc
-      end)
+    done;
+    let srcs = ib.srcs in
+    Array.stable_sort (fun a b -> Int.compare srcs.(a) srcs.(b)) index;
+    ib.index <- index;
+    ib.indexed <- ib.len
+  end;
+  let ranks = if ib.sorted then ib.len else Array.length ib.index in
+  (* First rank whose sender is >= [src]. *)
+  let lo = ref 0 and hi = ref ranks in
+  while !lo < !hi do
+    let mid = (!lo + !hi) lsr 1 in
+    if ib.srcs.(position ib mid) < src then lo := mid + 1 else hi := mid
+  done;
+  let acc = ref init and taken = ref 0 and r = ref !lo in
+  while !r < ranks && ib.srcs.(position ib !r) = src do
+    let k = position ib !r in
+    let p = ib.payloads.(k) in
+    if p != drained then begin
+      acc := f p !acc;
+      ib.payloads.(k) <- drained;
+      incr taken
+    end;
+    incr r
+  done;
+  if !taken > 0 then begin
+    ib.live <- ib.live - !taken;
+    if ib.live = 0 then reset_inbox ib
+  end;
+  !acc
 
 let recv_from t ~dst ~src =
   check_party t dst "recv_from";
-  match t.repr with
-  | D d -> (
-    let ib = d.inboxes.(dst) in
-    match ib.by_sender.(src) with
-    | None -> []
-    | Some q ->
-      let k = Queue.length q in
-      if k = 0 then []
-      else begin
-        let acc = ref [] in
-        while not (Queue.is_empty q) do
-          let c = Queue.pop q in
-          c.c_live <- false;
-          acc := c.c_payload :: !acc
-        done;
-        ib.live <- ib.live - k;
-        if ib.live = 0 then reset_inbox ib;
-        List.rev !acc
-      end)
-  | S s -> (
-    match pstate_opt s dst with
-    | None -> []
-    | Some p -> (
-      match Hashtbl.find_opt p.p_by_sender src with
-      | None -> []
-      | Some q ->
-        let k = Queue.length q in
-        if k = 0 then []
-        else begin
-          let acc = ref [] in
-          while not (Queue.is_empty q) do
-            let c = Queue.pop q in
-            c.c_live <- false;
-            acc := c.c_payload :: !acc
-          done;
-          p.p_live <- p.p_live - k;
-          if p.p_live = 0 then reset_pstate_inbox p;
-          List.rev !acc
-        end))
+  let ib = t.inboxes.(dst) in
+  if ib.live = 0 then [] else List.rev (drain_sender ib src (fun p acc -> p :: acc) [])
+
+(* A second sentinel: [recv_one]'s fold has seen more than one message. *)
+let several = Bytes.make 1 '\000'
 
 (* [Some payload] iff exactly one message is queued — the lockstep common
-   case — draining the queue either way, so network state afterwards is
-   identical to [recv_from] matched against [[v]], without the per-call
-   list build. *)
-let drain_one q =
-  let k = Queue.length q in
-  if k = 0 then (0, None)
-  else if k = 1 then begin
-    let c = Queue.pop q in
-    c.c_live <- false;
-    (1, Some c.c_payload)
-  end
-  else begin
-    while not (Queue.is_empty q) do
-      let c = Queue.pop q in
-      c.c_live <- false
-    done;
-    (k, None)
-  end
-
+   case — draining the sender either way, so network state afterwards is
+   identical to [recv_from] matched against [[v]].  The fold's
+   accumulator is [drained] (none yet), the payload, or [several], so
+   the call allocates only its [Some]. *)
 let recv_one t ~dst ~src =
   check_party t dst "recv_one";
-  match t.repr with
-  | D d -> (
-    let ib = d.inboxes.(dst) in
-    match ib.by_sender.(src) with
-    | None -> None
-    | Some q ->
-      let k, result = drain_one q in
-      if k > 0 then begin
-        ib.live <- ib.live - k;
-        if ib.live = 0 then reset_inbox ib
-      end;
-      result)
-  | S s -> (
-    match pstate_opt s dst with
-    | None -> None
-    | Some p -> (
-      match Hashtbl.find_opt p.p_by_sender src with
-      | None -> None
-      | Some q ->
-        let k, result = drain_one q in
-        if k > 0 then begin
-          p.p_live <- p.p_live - k;
-          if p.p_live = 0 then reset_pstate_inbox p
-        end;
-        result))
+  let ib = t.inboxes.(dst) in
+  if ib.live = 0 then None
+  else
+    let r = drain_sender ib src (fun p acc -> if acc == drained then p else several) drained in
+    if r == drained || r == several then None else Some r
 
 let peek t ~dst =
   check_party t dst "peek";
-  match t.repr with
-  | D d ->
-    let ib = d.inboxes.(dst) in
-    let acc = ref [] in
-    for k = ib.log_len - 1 downto 0 do
-      let c = ib.log.(k) in
-      if c.c_live then acc := (c.c_src, c.c_payload) :: !acc
-    done;
-    !acc
-  | S s -> (
-    match pstate_opt s dst with
-    | None -> []
-    | Some p ->
-      let acc = ref [] in
-      for k = p.p_log_len - 1 downto 0 do
-        let c = p.p_log.(k) in
-        if c.c_live then acc := (c.c_src, c.c_payload) :: !acc
-      done;
-      !acc)
+  let ib = t.inboxes.(dst) in
+  let acc = ref [] in
+  for k = ib.len - 1 downto 0 do
+    let p = ib.payloads.(k) in
+    if p != drained then acc := (ib.srcs.(k), p) :: !acc
+  done;
+  !acc
 
 (* ---- Accounting ------------------------------------------------------ *)
 
@@ -486,87 +311,37 @@ let rounds t = t.round
 
 let bits_sent t i =
   check_party t i "bits_sent";
-  match t.repr with
-  | D d -> d.sent_bits.(i)
-  | S s -> ( match pstate_opt s i with Some p -> p.p_sent_bits | None -> 0)
+  t.sent_bits.(i)
 
 let bits_received t i =
   check_party t i "bits_received";
-  match t.repr with
-  | D d -> d.recv_bits.(i)
-  | S s -> ( match pstate_opt s i with Some p -> p.p_recv_bits | None -> 0)
+  t.recv_bits.(i)
 
 let total_bits t = t.total_sent_bits
 let total_bits_of t parties = List.fold_left (fun acc i -> acc + bits_sent t i) 0 parties
 
 let peers t i =
   check_party t i "peers";
-  (* Rebuilt on demand: [peers] is a reporting call (end of run), while
-     [send] is the hot loop — both representations optimize for the
-     latter and reconstitute the set here. *)
-  match t.repr with
-  | D d ->
-    let b = d.peer_bits.(i) in
-    let s = ref Util.Iset.empty in
-    for j = t.num_parties - 1 downto 0 do
-      if (Char.code (Bytes.unsafe_get b (j lsr 3)) lsr (j land 7)) land 1 = 1 then
-        s := Util.Iset.add j !s
-    done;
-    !s
-  | S s -> ( match pstate_opt s i with Some p -> Util.Intset.to_iset p.p_peers | None -> Util.Iset.empty)
-
-let popcount8 =
-  Array.init 256 (fun v ->
-      let c = ref 0 in
-      for k = 0 to 7 do
-        c := !c + ((v lsr k) land 1)
-      done;
-      !c)
+  Util.Intset.to_iset t.peers.(i)
 
 let locality t i =
   check_party t i "locality";
-  match t.repr with
-  | D d ->
-    let b = d.peer_bits.(i) in
-    let c = ref 0 in
-    for k = 0 to Bytes.length b - 1 do
-      c := !c + Array.unsafe_get popcount8 (Char.code (Bytes.unsafe_get b k))
-    done;
-    !c
-  | S s -> ( match pstate_opt s i with Some p -> Util.Intset.cardinal p.p_peers | None -> 0)
+  Util.Intset.cardinal t.peers.(i)
 
 let max_locality t =
-  match t.repr with
-  | D _ ->
-    let best = ref 0 in
-    for i = 0 to t.num_parties - 1 do
-      best := max !best (locality t i)
-    done;
-    !best
-  | S s ->
-    (* Untouched parties have locality 0, so folding over the touched
-       ones is exact. *)
-    Hashtbl.fold (fun _ p acc -> max acc (Util.Intset.cardinal p.p_peers)) s.states 0
+  Array.fold_left (fun acc s -> max acc (Util.Intset.cardinal s)) 0 t.peers
 
 let messages_sent t = t.total_messages
 
 let active_parties t =
-  match t.repr with
-  | D d ->
-    let acc = ref [] in
-    for i = t.num_parties - 1 downto 0 do
-      if d.inboxes.(i).live > 0 then acc := i :: !acc
-    done;
-    !acc
-  | S s ->
-    List.sort compare
-      (Hashtbl.fold (fun i p acc -> if p.p_live > 0 then i :: acc else acc) s.states [])
+  let acc = ref [] in
+  for i = t.num_parties - 1 downto 0 do
+    if t.inboxes.(i).live > 0 then acc := i :: !acc
+  done;
+  !acc
 
 (* Undrained-inbox size — the [run_round] shard weight. *)
-let live_of t i =
-  match t.repr with
-  | D d -> d.inboxes.(i).live
-  | S s -> ( match pstate_opt s i with Some p -> p.p_live | None -> 0)
+let live_of t i = t.inboxes.(i).live
 
 (* ---- Intra-round parallel party stepping ---------------------------- *)
 
@@ -583,23 +358,20 @@ let live_of t i =
      outboxes through [send] in ascending sender id, each outbox in send
      order.
 
-   Because [pending] is already bucketed per sender and every counter
+   Because the sync transport delivers stably by sender and every counter
    update is commutative (sums, set unions), the committed network state
    is a pure function of {i which} messages each party produced — not of
    shard count or scheduling — so delivery order, bit/locality/message
    accounting, and all later [recv]s are bit-identical at any domain
    count.  See test_net_parallel's differential property.
 
-   Sparse caveat: [Party.recv]/[recv_from]/[recv_one] lazily create and
-   reset entries in the shared [states] hash from worker domains, which
-   would race.  They do not — a party whose pstate is absent receives
-   nothing, and the reset-on-empty path never {e removes} hash entries,
-   only mutates the pstate record it found.  The one genuinely shared
-   mutation, pstate {e creation}, happens only in [send] (commit phase,
-   sequential) and [deliver_sparse] ([step], sequential).  A compute
-   phase therefore only ever reads the hash structure and mutates
-   per-party records its shard exclusively owns — the same partitioned
-   ownership the dense backend gets from array indexing. *)
+   The compute phase only reads the shared [inboxes] array and mutates
+   the inbox records of its own shard's parties (draining, resetting,
+   building the per-sender index).  The shared mutations — creating an
+   inbox record (in [deliver], during [step]) and a peer set (in [send],
+   during commit) — are both sequential, and the shared [no_inbox]
+   sentinel is never written because every receive returns first on an
+   empty inbox. *)
 
 module Party = struct
   type p = { net : t; me : int; outbox : (int * bytes) Queue.t }

@@ -17,29 +17,19 @@
     honest runs, and separately exercises adversarial runs for the
     correctness/abort properties.
 
-    Performance contract: mailboxes are bucketed by sender, so {!send} is
-    O(1), {!step} delivers without sorting (it walks sender ids in
-    ascending order, which realizes the documented delivery order
-    directly), {!recv} is linear in the messages returned, and
-    {!recv_from} is linear in the messages from that one sender rather
-    than in the whole inbox.  Peer/locality tracking is a bit per
-    (party, peer): {!send} marks two bits allocation-free, and {!peers}
-    reconstitutes the set on demand (it is a reporting call, not a hot
+    Performance contract: resident state is O(n) words plus the traffic
+    parties actually exchanged, so one representation runs every n from
+    the unit tests to the giant tier's 10⁶ parties.  {!send} is O(1)
+    amortized (two {!Util.Intset} insertions for the peer sets, one
+    transport submit); {!step} under the sync transport delivers in one
+    pass when the round's sends ascended by sender, as every {!run_round}
+    commit does; {!recv} is linear in the party's inbox; and
+    {!recv_from}/{!recv_one} take O(log m) plus the sender's own messages
+    in an inbox of m messages.  A party's inbox record is created on its
+    first delivery and its peer set on its first send or receipt;
+    untouched parties cost one word per per-party array.  {!peers}
+    copies the set into an {!Util.Iset} (a reporting call, not a hot
     one).
-
-    Two {!type-backend}s realize that contract with different memory
-    shapes.  {!Dense} (the default) materializes every party's mailbox,
-    counters, and an n²-bit peer bitmap up front — O(1) per operation
-    but Θ(n²) resident, which caps runs near n = 2048.  {!Sparse}
-    allocates a party's state lazily on first touch (first send to or
-    from it) in compact hash- and {!Util.Intset}-backed structures, and
-    keeps idle parties as pure aggregate accounting, so memory is
-    O(touched parties + in-flight messages) and the sparse-graph
-    protocols (Algorithms 5–7) run at n = 10⁵–10⁶.  Every observable —
-    delivery order, drain semantics, bit/message/locality/round
-    accounting, exceptions — is {e identical} between backends; the
-    dense≡sparse differential suite (test_net_sparse) pins that at every
-    n both can execute.
 
     Domain-safety contract: a [t] is single-owner mutable state with no
     internal locking.  Two domains must never touch the same instance;
@@ -67,10 +57,13 @@
 
 type t
 
-(** Memory representation — semantics are identical, see the header. *)
+(** Accepted by {!create} and ignored: the network has one
+    representation, whichever constructor is passed.  Kept only so
+    callers written against the former two-backend interface still
+    build; new code should not mention it. *)
 type backend =
-  | Dense  (** per-party arrays + n²-bit peer bitmap; O(n²) resident *)
-  | Sparse  (** lazy per-party state on first touch; O(activity) resident *)
+  | Dense
+  | Sparse
 
 (** Raised by {!step} when the round clock reaches a [max_rounds] bound
     (set at [create] or tightened by {!with_round_limit}) — the livelock
@@ -81,14 +74,13 @@ type backend =
 exception Livelock of { rounds : int; max_rounds : int }
 
 (** [create ?backend ?transport ?max_rounds n] — a fresh network of
-    parties [0 .. n-1].  [backend] defaults to {!Dense}.
+    parties [0 .. n-1].  [backend] is ignored (see {!type-backend}).
 
     [transport] is the delivery schedule ({!Transport.t}); it defaults
-    to the synchronous lockstep transport matching [backend]
-    ([Transport.sync_dense] / [Transport.sync_sparse]), which preserves
-    the historical semantics bit-for-bit.  Pass [Event_net.transport]
-    for asynchronous delivery with latency, reordering, and adversarial
-    scheduling.
+    to {!Transport.sync}, the synchronous lockstep transport, which
+    preserves the historical semantics bit-for-bit.  Pass
+    [Event_net.transport] for asynchronous delivery with latency,
+    reordering, and adversarial scheduling.
 
     With [~max_rounds:m] (must be positive), the [m+1]-th {!step} raises
     {!Livelock} instead of advancing, so a protocol driven into an
@@ -98,9 +90,6 @@ val create : ?backend:backend -> ?transport:Transport.t -> ?max_rounds:int -> in
 
 val n : t -> int
 
-(** The representation this instance was created with. *)
-val backend : t -> backend
-
 (** {1 Sending and receiving} *)
 
 (** [send t ~src ~dst payload] enqueues a message for delivery at the next
@@ -109,14 +98,14 @@ val send : t -> src:int -> dst:int -> bytes -> unit
 
 (** [step t] advances the round clock by one tick, delivering whatever
     the transport releases for that tick.  Under the default synchronous
-    transports that is {e all} pending messages, readable by their
+    transport that is {e all} pending messages, readable by their
     recipients in arrival order (deterministic: sorted by sender id,
     then send order); under an event transport, only the messages whose
     schedule says they are due. *)
 val step : t -> unit
 
 (** [in_flight t] — messages sent but not yet delivered.  Always zero
-    after {!step} on the synchronous transports; may stay positive for
+    after {!step} on the synchronous transport; may stay positive for
     up to [Event_net.span] ticks on an event transport. *)
 val in_flight : t -> int
 
@@ -219,7 +208,7 @@ end
 
     Commit phase (always sequential, on the calling domain): outboxes
     are replayed through {!val-send} in ascending {e sender id}, each in
-    send order.  Since delivery is bucketed per sender and all counter
+    send order.  Since delivery is stable by sender and all counter
     updates commute, every observable — delivery order, per-party bit
     counters, locality sets, message and round counts — is identical to
     the sequential run at any domain count.
@@ -263,11 +252,10 @@ val messages_sent : t -> int
 
 (** [active_parties t] — the ids of parties with at least one undrained
     delivered message, in increasing order: the frontier a round-driving
-    loop should iterate instead of [0 .. n-1].  Cost is O(touched
-    parties) on the sparse backend (and O(n) on dense, where n is small
-    by construction).  A party whose step is a no-op on an empty inbox
-    is unobservable either way, so restricting a round to this frontier
-    is exact, not an approximation. *)
+    loop should iterate instead of [0 .. n-1].  Cost is one O(n) scan of
+    the inbox array, a word read per party.  A party whose step is a
+    no-op on an empty inbox is unobservable either way, so restricting a
+    round to this frontier is exact, not an approximation. *)
 val active_parties : t -> int list
 
 (** [snapshot t] captures current counters; [diff_snapshot] subtracts two

@@ -2,16 +2,16 @@
     has been sent but not yet delivered, and decides — when the round
     clock ticks — which of them become readable.
 
-    {!Net.send} meters a message (bits, message count, peer bits) and
-    then hands it to the transport via [submit]; {!Net.step} calls
-    [advance], and the transport calls [deliver] back once per message it
-    releases, in the order it wants them to arrive.  Mailboxes,
-    accounting, and the round clock stay in {!Net}; the transport is
-    {e only} the in-flight buffer plus the delivery schedule.  That split
-    is what lets the synchronous backend stay byte-identical while an
-    event-queue backend ({!Event_net}) reorders and delays traffic under
-    the same protocol code — and it is the seam a future socket-backed
-    transport plugs into.
+    {!Net.send} meters a message (bits, message count, peers) and then
+    hands it to the transport via [submit]; {!Net.step} calls [advance],
+    and the transport calls [deliver] back once per message it releases,
+    in the order it wants them to arrive.  Mailboxes, accounting, and the
+    round clock stay in {!Net}; the transport is {e only} the in-flight
+    buffer plus the delivery schedule.  That split is what lets the
+    synchronous transport stay byte-identical while an event-queue
+    transport ({!Event_net}) reorders and delays traffic under the same
+    protocol code — and it is the seam a future socket-backed transport
+    plugs into.
 
     Contract required of any implementation:
     - {b Eventual delivery.}  Every submitted message is delivered after
@@ -25,7 +25,7 @@
     - {b Single owner.}  Same as [Net.t]: no internal locking, one
       owning domain.
 
-    The synchronous transports below reproduce the historical lockstep
+    The synchronous transport below reproduces the historical lockstep
     semantics {e exactly}: one [advance] delivers everything in flight,
     senders in ascending id order, each sender's messages in send order. *)
 
@@ -40,14 +40,18 @@ type t = {
   in_flight : unit -> int;  (** Messages submitted but not yet delivered. *)
 }
 
-(** Lockstep delivery over a dense per-sender queue array — the
-    historical {!Net.Dense} pending structure, verbatim: [submit] is
-    O(1), [advance] walks sender ids [0 .. n-1] and empties each queue in
-    send order. *)
+(** Lockstep delivery, the default transport of {!Net.create}.  In-flight
+    messages sit in flat arrays in submission order: [submit] is O(1)
+    and allocation-free (amortized), and [advance] delivers them stably
+    by sender — in one pass when submissions already ascended by sender,
+    as every [Net.run_round] commit and ascending send loop does, and
+    after an O(m log m) sort of the m in-flight messages otherwise.
+    Memory is O(in-flight messages), independent of n. *)
+val sync : unit -> t
+
+(** [sync_dense ~n] and [sync_sparse ()] are {!sync}; [n] is ignored.
+    They remain only for callers written against the two transports this
+    one replaced. *)
 val sync_dense : n:int -> t
 
-(** Lockstep delivery for the sparse backend: per-{e active}-sender
-    queues in a hash table, [advance] sorts the (few) active sender ids
-    to realize the exact dense delivery order — the historical
-    {!Net.Sparse} pending structure, verbatim. *)
 val sync_sparse : unit -> t

@@ -93,7 +93,9 @@ let pos r = r.pos
 let need r k =
   if k < 0 then
     raise (Decode_error (Printf.sprintf "negative length %d at offset %d" k r.pos));
-  if r.pos + k > r.limit then
+  (* Against the remaining window, not [r.pos + k > r.limit]: that sum
+     wraps negative for a claimed length near [max_int]. *)
+  if k > r.limit - r.pos then
     raise
       (Decode_error
          (Printf.sprintf "need %d bytes at offset %d, but only %d remain (window ends at %d)"

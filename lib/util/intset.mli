@@ -1,8 +1,8 @@
 (** Compact mutable set of non-negative ints — open addressing over a
     flat [int array].
 
-    The streaming network backend keeps one of these per {e touched}
-    party for peer/locality tracking, so the representation is sized for
+    [Netsim.Net] keeps one of these per party that has sent or
+    received, for peer/locality tracking, so the representation is sized for
     "hundreds of thousands of instances holding tens of elements each":
     a three-word record plus one unboxed int array, no per-element boxes.
     Compare [(int, unit) Hashtbl.t] (a bucket array plus a four-word

@@ -168,21 +168,40 @@ let test_messages_cross_rounds () =
 (* Reference model: the original implementation kept one pending list in
    send order and, at [step], stable-sorted it by sender id before
    appending to each recipient's inbox list; [recv_from] partitioned the
-   inbox.  The rewritten simulator must be observationally identical. *)
+   inbox.  The rewritten simulator must be observationally identical.
+   [step] takes the sender order so the model can follow a transport that
+   delivers in some other order; the accounting tallies are kept op by op
+   from the sends alone. *)
 module Model = struct
   type t = {
-    n : int;
     mutable pending : (int * int * bytes) list; (* reverse send order *)
     inbox : (int * bytes) list array;
+    sent : int array;
+    received : int array;
+    peers : bool array array;
   }
 
-  let create n = { n; pending = []; inbox = Array.make n [] }
-  let send t ~src ~dst payload = t.pending <- (src, dst, payload) :: t.pending
+  let create n =
+    {
+      pending = [];
+      inbox = Array.make n [];
+      sent = Array.make n 0;
+      received = Array.make n 0;
+      peers = Array.make_matrix n n false;
+    }
 
-  let step t =
+  let send t ~src ~dst payload =
+    t.pending <- (src, dst, payload) :: t.pending;
+    let bits = 8 * Bytes.length payload in
+    t.sent.(src) <- t.sent.(src) + bits;
+    t.received.(dst) <- t.received.(dst) + bits;
+    t.peers.(src).(dst) <- true;
+    t.peers.(dst).(src) <- true
+
+  let step ~sender_order t =
     let msgs = List.rev t.pending in
     t.pending <- [];
-    let sorted = List.stable_sort (fun (s1, _, _) (s2, _, _) -> compare s1 s2) msgs in
+    let sorted = List.stable_sort (fun (s1, _, _) (s2, _, _) -> sender_order s1 s2) msgs in
     List.iter (fun (src, dst, p) -> t.inbox.(dst) <- t.inbox.(dst) @ [ (src, p) ]) sorted
 
   let recv t ~dst =
@@ -195,7 +214,14 @@ module Model = struct
     t.inbox.(dst) <- rest;
     List.map snd mine
 
+  let recv_one t ~dst ~src = match recv_from t ~dst ~src with [ p ] -> Some p | _ -> None
   let peek t ~dst = t.inbox.(dst)
+
+  let peers t i =
+    List.filter (fun j -> t.peers.(i).(j)) (List.init (Array.length t.peers) Fun.id)
+
+  let active t =
+    List.filter (fun i -> t.inbox.(i) <> []) (List.init (Array.length t.inbox) Fun.id)
 end
 
 type op =
@@ -203,22 +229,48 @@ type op =
   | Step
   | Recv of int
   | Recv_from of int * int (* dst, src *)
+  | Recv_one of int * int (* dst, src *)
   | Peek of int
 
+(* Parties are drawn mostly from the first eight, so at n = 64 inboxes
+   still collect several senders and [recv_from]/[recv_one] mostly hit. *)
 let gen_op n =
   let open QCheck.Gen in
-  let party = int_bound (n - 1) in
+  let party = frequency [ (1, int_bound (n - 1)); (2, int_bound (min 7 (n - 1))) ] in
   frequency
     [
       (5, map3 (fun src dst len -> Send (src, dst, len)) party party (int_bound 8));
       (2, return Step);
       (2, map (fun dst -> Recv dst) party);
       (3, map2 (fun dst src -> Recv_from (dst, src)) party party);
+      (2, map2 (fun dst src -> Recv_one (dst, src)) party party);
       (1, map (fun dst -> Peek dst) party);
     ]
 
-let run_ops n ops =
-  let net = Netsim.Net.create n in
+(* A transport that delivers each step's messages in descending sender
+   order (each sender's in send order), so inboxes fill against the
+   ascending order the sync transport produces. *)
+let descending_transport () =
+  let pending = ref [] in
+  {
+    Netsim.Transport.name = "descending";
+    submit = (fun ~src ~dst payload -> pending := (src, dst, payload) :: !pending);
+    advance =
+      (fun ~deliver ->
+        let msgs = List.rev !pending in
+        pending := [];
+        List.iter
+          (fun (src, dst, p) -> deliver ~src ~dst p)
+          (List.stable_sort (fun (s1, _, _) (s2, _, _) -> compare s2 s1) msgs));
+    in_flight = (fun () -> List.length !pending);
+  }
+
+let run_ops ~descending n ops =
+  let net =
+    if descending then Netsim.Net.create ~transport:(descending_transport ()) n
+    else Netsim.Net.create n
+  in
+  let sender_order = if descending then fun a b -> compare b a else compare in
   let m = Model.create n in
   let counter = ref 0 in
   let bits = ref 0 and msgs = ref 0 and rnds = ref 0 in
@@ -238,19 +290,31 @@ let run_ops n ops =
         incr msgs
       | Step ->
         Netsim.Net.step net;
-        Model.step m;
+        Model.step ~sender_order m;
         incr rnds
       | Recv dst -> check_eq (Netsim.Net.recv net ~dst) (Model.recv m ~dst)
       | Recv_from (dst, src) ->
         check_eq (Netsim.Net.recv_from net ~dst ~src) (Model.recv_from m ~dst ~src)
+      | Recv_one (dst, src) ->
+        check_eq (Netsim.Net.recv_one net ~dst ~src) (Model.recv_one m ~dst ~src)
       | Peek dst -> check_eq (Netsim.Net.peek net ~dst) (Model.peek m ~dst))
     ops;
   (* Whatever is still undrained must also agree. *)
+  check_eq (Netsim.Net.active_parties net) (Model.active m);
   for dst = 0 to n - 1 do
     check_eq (Netsim.Net.peek net ~dst) (Model.peek m ~dst)
   done;
-  (* Accounting invariants: counters equal the op-by-op tallies, and
-     snapshots diff to zero against themselves. *)
+  (* Per-party accounting against the model's tallies. *)
+  for i = 0 to n - 1 do
+    check_eq (Netsim.Net.bits_sent net i) m.Model.sent.(i);
+    check_eq (Netsim.Net.bits_received net i) m.Model.received.(i);
+    check_eq (Util.Iset.to_sorted_list (Netsim.Net.peers net i)) (Model.peers m i);
+    check_eq (Netsim.Net.locality net i) (List.length (Model.peers m i))
+  done;
+  check_eq (Netsim.Net.max_locality net)
+    (List.fold_left max 0 (List.init n (fun i -> List.length (Model.peers m i))));
+  (* Totals equal the op-by-op tallies, and snapshots diff to zero
+     against themselves. *)
   let snap = Netsim.Net.snapshot net in
   if snap.Netsim.Net.snap_bits <> !bits then ok := false;
   if snap.Netsim.Net.snap_msgs <> !msgs then ok := false;
@@ -263,11 +327,13 @@ let run_ops n ops =
   then ok := false;
   !ok
 
-let prop_matches_reference =
-  let n = 5 in
-  QCheck.Test.make ~count:500 ~name:"bucketed net ≡ list-based reference"
-    (QCheck.make QCheck.Gen.(list_size (int_bound 120) (gen_op n)))
-    (fun ops -> run_ops n ops)
+(* Each script runs twice: on the default sync transport, and on the
+   descending-order transport, which forces the per-sender index that an
+   ascending inbox never needs. *)
+let prop_matches_reference ~name n =
+  QCheck.Test.make ~count:500 ~name
+    (QCheck.make QCheck.Gen.(list_size (int_bound 160) (gen_op n)))
+    (fun ops -> run_ops ~descending:false n ops && run_ops ~descending:true n ops)
 
 (* ---- Corruption ---- *)
 
@@ -410,7 +476,10 @@ let () =
           Alcotest.test_case "round counting" `Quick test_rounds;
           Alcotest.test_case "snapshot diff" `Quick test_snapshot_diff;
           Alcotest.test_case "messages accumulate" `Quick test_messages_cross_rounds;
-          QCheck_alcotest.to_alcotest prop_matches_reference;
+          QCheck_alcotest.to_alcotest
+            (prop_matches_reference ~name:"bucketed net ≡ list-based reference" 5);
+          QCheck_alcotest.to_alcotest
+            (prop_matches_reference ~name:"bucketed net ≡ list-based reference, n=64" 64);
         ] );
       ( "watchdog",
         [

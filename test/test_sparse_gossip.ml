@@ -1,5 +1,8 @@
 (* Tests for Algorithm 5 (SparseNetwork, Claim 20) and Algorithm 6
-   (Gossip / responsible gossip, Claim 21). *)
+   (Gossip / responsible gossip, Claim 21), the executor independence of
+   the sparse protocol family (sequential vs 2- and 8-domain pools), and
+   the giant tier's streaming union-find and [run_iter] against their
+   materialized references. *)
 
 let checkb = Alcotest.(check bool)
 let checki = Alcotest.(check int)
@@ -240,6 +243,261 @@ let test_gossip_warning_suppression_still_safe () =
       rest);
   checkb "ran" true (Array.length outs = n)
 
+(* ---- Executor independence of the sparse family ---- *)
+
+(* Algorithm 5, gossip, committee election, LocalCommitteeElect and
+   Theorem 2 run on a fresh network per executor — sequential, and pools
+   of 2 and 8 domains — from the same seed: every (result, observables)
+   pair must equal the sequential run. *)
+
+let pool1 = lazy (Util.Pool.create ~num_domains:1 ())
+let pool7 = lazy (Util.Pool.create ~num_domains:7 ())
+let all_pools () = [ None; Some (Lazy.force pool1); Some (Lazy.force pool7) ]
+
+(* Everything observable about a network's accounting, as one comparable
+   value.  Peer sets are compared element-wise (sorted lists), never as
+   raw [Iset.t]: AVL shape is not an observable. *)
+type obs = {
+  bits_sent : int list;
+  bits_received : int list;
+  peers : int list list;
+  total_bits : int;
+  messages : int;
+  net_rounds : int;
+  max_locality : int;
+  active : int list;
+}
+
+let observe net =
+  let n = Netsim.Net.n net in
+  {
+    bits_sent = List.init n (Netsim.Net.bits_sent net);
+    bits_received = List.init n (Netsim.Net.bits_received net);
+    peers = List.init n (fun i -> Util.Iset.to_sorted_list (Netsim.Net.peers net i));
+    total_bits = Netsim.Net.total_bits net;
+    messages = Netsim.Net.messages_sent net;
+    net_rounds = Netsim.Net.rounds net;
+    max_locality = Netsim.Net.max_locality net;
+    active = Netsim.Net.active_parties net;
+  }
+
+let executors ~name ~n (f : pool:Util.Pool.t option -> Netsim.Net.t -> Util.Prng.t -> 'a) =
+  let run pool =
+    let net = Netsim.Net.create n in
+    let rng = Util.Prng.create 42 in
+    let r = f ~pool net rng in
+    (r, observe net)
+  in
+  let reference = run None in
+  List.iter (fun pool -> checkb name true (run pool = reference)) (all_pools ())
+
+(* Iset-valued outcomes are normalized to sorted lists before comparison
+   (outcome {e contents} are the contract, AVL shape is not). *)
+let norm_iset_outs outs =
+  Array.to_list outs
+  |> List.map (function
+       | Mpc.Outcome.Output s -> Ok (Util.Iset.to_sorted_list s)
+       | Mpc.Outcome.Abort r -> Error r)
+
+let test_sparse_network_executors () =
+  let n = 48 and h = 16 in
+  let rng0 = Util.Prng.create 9 in
+  let corruption = Netsim.Corruption.random rng0 ~n ~h in
+  executors ~name:"sparse_network honest" ~n (fun ~pool net rng ->
+      norm_iset_outs
+        (Mpc.Sparse_network.run ?pool net rng (params n h) ~corruption
+           ~adv:Mpc.Sparse_network.honest_adv))
+
+let test_sparse_network_flood_executors () =
+  (* The flooding adversary trips the 2d inbox bound, so abort paths and
+     the Flooded reason string must also be executor-independent. *)
+  let n = 40 and h = 8 in
+  let victim = 5 in
+  let rng0 = Util.Prng.create 88 in
+  let corruption = Netsim.Corruption.targeting rng0 ~n ~h ~victim in
+  executors ~name:"sparse_network flood" ~n (fun ~pool net rng ->
+      norm_iset_outs
+        (Mpc.Sparse_network.run ?pool net rng (params n h) ~corruption
+           ~adv:(Mpc.Attacks.flood_victim ~victim)))
+
+let ring_graph n degree =
+  Array.init n (fun i -> Util.Iset.of_list (List.init degree (fun k -> (i + k + 1) mod n)))
+
+let test_gossip_executors () =
+  let n = 32 and h = 16 in
+  let graph = ring_graph n 4 in
+  let sources = [ (0, Bytes.of_string "alpha"); (7, Bytes.of_string "beta") ] in
+  let corruption = Netsim.Corruption.none ~n in
+  executors ~name:"gossip honest" ~n (fun ~pool net rng ->
+      Mpc.Gossip.run ?pool net rng (params n h) ~graph ~sources ~corruption
+        ~adv:Mpc.Gossip.honest_adv)
+
+let test_gossip_adversarial_executors () =
+  let n = 32 and h = 8 in
+  let graph = ring_graph n 4 in
+  let sources = [ (0, Bytes.of_string "alpha"); (3, Bytes.of_string "beta") ] in
+  let rng0 = Util.Prng.create 17 in
+  let corruption = Netsim.Corruption.random rng0 ~n ~h in
+  List.iter
+    (fun (label, adv) ->
+      executors ~name:("gossip " ^ label) ~n (fun ~pool net rng ->
+          Mpc.Gossip.run ?pool net rng (params n h) ~graph ~sources ~corruption ~adv))
+    [
+      ("equivocate", Mpc.Attacks.gossip_equivocate);
+      ("forge", Mpc.Attacks.gossip_forge ~origin:0 ~value:(Bytes.of_string "forged"));
+    ]
+
+let test_committee_executors () =
+  let n = 64 and h = 32 in
+  let rng0 = Util.Prng.create 5 in
+  let corruption = Netsim.Corruption.random rng0 ~n ~h in
+  List.iter
+    (fun (label, adv) ->
+      executors ~name:("committee " ^ label) ~n (fun ~pool net rng ->
+          Mpc.Committee.run ?pool net rng (params ~alpha:2 n h) ~corruption ~adv))
+    [ ("honest", Mpc.Committee.honest_adv); ("claim-all", Mpc.Attacks.claim_all) ]
+
+let test_local_committee_executors () =
+  let n = 36 and h = 18 in
+  let rng0 = Util.Prng.create 11 in
+  let corruption = Netsim.Corruption.random rng0 ~n ~h in
+  executors ~name:"local_committee" ~n (fun ~pool net rng ->
+      let r =
+        Mpc.Local_committee.run ?pool net rng (params ~alpha:2 n h) ~corruption
+          ~adv:Mpc.Local_committee.honest_adv
+      in
+      (Array.to_list r.Mpc.Local_committee.views,
+       List.map Util.Iset.to_sorted_list (Array.to_list r.Mpc.Local_committee.graph)))
+
+let test_theorem2_executors () =
+  (* The deepest stack over the network: routing + two gossip phases +
+     threshold decryption, end to end. *)
+  let n = 24 and h = 12 in
+  let config =
+    {
+      Mpc.Local_mpc.params = params ~alpha:2 n h;
+      pke = (module Crypto.Pke.Regev : Crypto.Pke.S);
+      circuit = Circuit.parity ~n;
+      input_width = 1;
+    }
+  in
+  let inputs = Array.init n (fun i -> i land 1) in
+  let rng0 = Util.Prng.create 23 in
+  let corruption = Netsim.Corruption.random rng0 ~n ~h in
+  executors ~name:"theorem2" ~n (fun ~pool net rng ->
+      Mpc.Local_mpc.run_theorem2 ?pool net rng config ~corruption ~inputs
+        ~adv:Mpc.Local_mpc.honest_theorem2_adv)
+
+(* ---- Streaming connectivity vs the BFS reference ------------------ *)
+
+(* The giant tier replaces [honest_subgraph_connected]'s BFS (which needs
+   all n outcomes live) with a streaming union-find that unions each
+   undirected edge at its higher-id endpoint.  Correctness leans on hop
+   symmetry for honest non-aborted pairs; this pins the two procedures
+   against each other across random corruptions and a flooding adversary
+   (whose aborts are exactly the case where naive edge-unioning would
+   bridge dead components). *)
+let uf_connected outs corruption =
+  let n = Array.length outs in
+  let parent = Array.init n (fun i -> i) in
+  let find i =
+    let r = ref i in
+    while parent.(!r) <> !r do
+      r := parent.(!r)
+    done;
+    let j = ref i in
+    while parent.(!j) <> !r do
+      let next = parent.(!j) in
+      parent.(!j) <- !r;
+      j := next
+    done;
+    !r
+  in
+  let aborted = Array.map (fun o -> Mpc.Outcome.is_abort o) outs in
+  let honest i = Netsim.Corruption.is_honest corruption i in
+  let first_active = ref (-1) in
+  Array.iteri
+    (fun i out ->
+      match out with
+      | Mpc.Outcome.Abort _ -> ()
+      | Mpc.Outcome.Output s ->
+        if honest i then begin
+          if !first_active < 0 then first_active := i;
+          Util.Iset.iter
+            (fun j ->
+              if j < i && honest j && not aborted.(j) then begin
+                let ri = find i and rj = find j in
+                if ri <> rj then parent.(ri) <- rj
+              end)
+            s
+        end)
+    outs;
+  if !first_active < 0 then true
+  else begin
+    let root = find !first_active in
+    let ok = ref true in
+    for i = 0 to n - 1 do
+      if honest i && not aborted.(i) && find i <> root then ok := false
+    done;
+    !ok
+  end
+
+let test_union_find_matches_bfs () =
+  let n = 200 in
+  let rng0 = Util.Prng.create 31 in
+  let cases =
+    List.concat_map
+      (fun h ->
+        List.map
+          (fun seed -> (h, seed, Netsim.Corruption.random rng0 ~n ~h))
+          [ 1; 2; 3; 4; 5; 6; 7; 8 ])
+      [ 8; 50; 100 ]
+    @ List.map
+        (fun seed -> (20, seed, Netsim.Corruption.targeting rng0 ~n ~h:20 ~victim:3))
+        [ 9; 10; 11 ]
+  in
+  List.iter
+    (fun (h, seed, corruption) ->
+      let net = Netsim.Net.create n in
+      let rng = Util.Prng.create seed in
+      let adv =
+        if Netsim.Corruption.num_corrupted corruption > 0 && seed mod 3 = 0 then
+          Mpc.Attacks.flood_victim ~victim:3
+        else Mpc.Sparse_network.honest_adv
+      in
+      let outs = Mpc.Sparse_network.run net rng (params n h) ~corruption ~adv in
+      checkb
+        (Printf.sprintf "uf = bfs at h=%d seed=%d" h seed)
+        (Mpc.Sparse_network.honest_subgraph_connected outs corruption)
+        (uf_connected outs corruption))
+    cases
+
+(* run_iter's streaming order and contents against the materialized
+   array, both pooled and not. *)
+let test_run_iter_matches_run () =
+  let n = 60 and h = 20 in
+  let rng0 = Util.Prng.create 13 in
+  let corruption = Netsim.Corruption.random rng0 ~n ~h in
+  let reference =
+    let net = Netsim.Net.create n in
+    let rng = Util.Prng.create 3 in
+    norm_iset_outs
+      (Mpc.Sparse_network.run net rng (params n h) ~corruption
+         ~adv:Mpc.Sparse_network.honest_adv)
+  in
+  List.iter
+    (fun pool ->
+      let net = Netsim.Net.create n in
+      let rng = Util.Prng.create 3 in
+      let seen = ref [] in
+      Mpc.Sparse_network.run_iter ?pool net rng (params n h) ~corruption
+        ~adv:Mpc.Sparse_network.honest_adv ~f:(fun i out -> seen := (i, out) :: !seen);
+      let ordered = List.rev !seen in
+      checkb "run_iter visits 0..n-1 in order" true (List.map fst ordered = List.init n Fun.id);
+      checkb "run_iter outcomes match run" true
+        (norm_iset_outs (Array.of_list (List.map snd ordered)) = reference))
+    (all_pools ())
+
 let () =
   Alcotest.run "sparse_gossip"
     [
@@ -259,5 +517,20 @@ let () =
           Alcotest.test_case "equivocation safe" `Quick test_gossip_equivocation_aborts;
           Alcotest.test_case "forged conflict" `Quick test_gossip_forged_conflict_detected;
           Alcotest.test_case "warning suppression" `Quick test_gossip_warning_suppression_still_safe;
+        ] );
+      ( "protocols",
+        [
+          Alcotest.test_case "sparse_network honest" `Quick test_sparse_network_executors;
+          Alcotest.test_case "sparse_network flood" `Quick test_sparse_network_flood_executors;
+          Alcotest.test_case "gossip honest" `Quick test_gossip_executors;
+          Alcotest.test_case "gossip adversarial" `Quick test_gossip_adversarial_executors;
+          Alcotest.test_case "committee" `Quick test_committee_executors;
+          Alcotest.test_case "local committee" `Quick test_local_committee_executors;
+          Alcotest.test_case "theorem2" `Quick test_theorem2_executors;
+        ] );
+      ( "streaming",
+        [
+          Alcotest.test_case "union-find = BFS" `Quick test_union_find_matches_bfs;
+          Alcotest.test_case "run_iter = run" `Quick test_run_iter_matches_run;
         ] );
     ]

@@ -321,6 +321,52 @@ let test_codec_error_offsets () =
   in
   checkb "bool names offset" true (m = "bad bool byte 7 at offset 1")
 
+(* A claimed length near [max_int] is a Decode_error at any offset.  The
+   bounds check once added the length to the cursor, which wraps
+   negative: the copying readers then raised Invalid_argument from
+   [Bytes.sub], and [read_bytes_view] returned a view at a negative
+   offset.  [read_raw] takes the length as an argument at the given
+   cursor offset; the others read it as a varint starting there. *)
+let test_codec_huge_lengths () =
+  let readers =
+    [
+      ("read_raw", fun r len -> ignore (Util.Codec.read_raw r len));
+      ("read_bytes", fun r _ -> ignore (Util.Codec.read_bytes r));
+      ("read_string", fun r _ -> ignore (Util.Codec.read_string r));
+      ("read_bytes_view", fun r _ -> ignore (Util.Codec.read_bytes_view r));
+    ]
+  in
+  List.iter
+    (fun (name, read) ->
+      List.iter
+        (fun offset ->
+          List.iter
+            (fun len ->
+              let buf =
+                Util.Codec.encode
+                  (fun w len ->
+                    for _ = 1 to offset do
+                      Util.Codec.write_byte w 0
+                    done;
+                    Util.Codec.write_varint w len;
+                    Util.Codec.write_raw w (Bytes.make 4 'x'))
+                  len
+              in
+              let r = Util.Codec.reader buf in
+              for _ = 1 to offset do
+                ignore (Util.Codec.read_byte r)
+              done;
+              checkb
+                (Printf.sprintf "%s at offset %d, length %d" name offset len)
+                true
+                (try
+                   read r len;
+                   false
+                 with Util.Codec.Decode_error _ -> true))
+            [ max_int; max_int - 5 ])
+        [ 0; 1 ])
+    readers
+
 let test_codec_underflow_rejected () =
   let b = Bytes.of_string "" in
   checkb "raises" true
@@ -580,8 +626,8 @@ let test_stats_histogram () =
 (* ---- Iset / Imap / Intset ---- *)
 
 (* Ids spanning the whole usable range: dense protocol-scale ids, giant-
-   tier party ids (10^5..10^6), and near-max outliers.  The streaming
-   backend keys all its per-party state by such ids, so membership and
+   tier party ids (10^5..10^6), and near-max outliers.  The network
+   keeps its per-party peer sets over such ids, so membership and
    iteration must not degrade or collide far outside the dense range. *)
 let gen_sparse_ids =
   QCheck.Gen.(
@@ -731,6 +777,7 @@ let () =
           Alcotest.test_case "compound structures" `Quick test_codec_compound;
           Alcotest.test_case "trailing bytes rejected" `Quick test_codec_trailing_bytes_rejected;
           Alcotest.test_case "underflow rejected" `Quick test_codec_underflow_rejected;
+          Alcotest.test_case "huge lengths rejected" `Quick test_codec_huge_lengths;
           Alcotest.test_case "error offsets" `Quick test_codec_error_offsets;
           Alcotest.test_case "int list helper" `Quick test_codec_int_list;
           QCheck_alcotest.to_alcotest codec_prop_bytes;
