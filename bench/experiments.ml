@@ -1027,7 +1027,8 @@ let e13 =
         [
           sweep ~label:"n, both protocols" ~show:string_of_int ~full:[ 16; 32; 64; 128; 256; 384 ]
             ~quick:[ 16; 32; 64; 128 ] both
-            (table ~title ~columns:[ "n"; "AND gates"; "GMW bits"; "Alg 3 bits"; "winner" ]
+            (table ~title
+               ~columns:[ "n"; "AND/OR gates (triples)"; "GMW bits"; "Alg 3 bits"; "winner" ]
                (fun ((gmw : Io.run), (alg3 : Io.run), gates) ->
                  [ string_of_int gmw.n; string_of_int gates; fmt_bits gmw.bits; fmt_bits alg3.bits;
                    (if gmw.bits < alg3.bits then
@@ -1038,9 +1039,10 @@ let e13 =
         ];
       block Huge "E13  (huge tier) GMW vs Algorithm 3 deep past the crossover"
         ~intro:
-          "GMW's Theta(n^2)-per-gate traffic is capped at n <= 384 (tens of\n\
-           seconds of simulated all-to-all openings beyond); Algorithm 3\n\
-           continues to n = 2048 where committee delegation wins outright.\n\n"
+          "GMW's Theta(n^2)-per-gate traffic grows as n^3 in bits and is already\n\
+           twice Algorithm 3's at n = 384, so its sweep stops there, past the\n\
+           crossover; Algorithm 3 continues to n = 2048 where committee\n\
+           delegation wins outright.\n\n"
         [
           sweep ~label:"protocol:n"
             ~show:(fun (p, n) -> Printf.sprintf "%s:%d" (if p = `Gmw then "gmw" else "alg3") n)

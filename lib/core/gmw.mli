@@ -2,7 +2,7 @@
     channels with additive secret sharing and Beaver multiplication triples.
 
     This is the "generic MPC" yardstick the paper's committee-based
-    protocols are designed to beat as [n] grows: every AND gate costs one
+    protocols are designed to beat as [n] grows: every AND/OR gate costs one
     Beaver opening, and every opening is an all-to-all exchange of shares —
     [Θ(n²)] bits {e per gate}, versus Algorithm 3's [Õ(n²/h)] {e total}.
     Experiment E13 measures the crossover.
@@ -31,7 +31,22 @@ val honest_adv : adv
 
 (** [run net rng ~circuit ~input_width ~inputs ~corruption ~adv] — every
     party ends with the (claimed) output bits; with [honest_adv] these
-    equal [Circuit.eval].  Returns the per-party packed outputs. *)
+    equal [Circuit.eval].  Returns the per-party packed outputs.
+
+    Every phase sends one packed payload per ordered pair of parties (bit
+    [k] at byte [k/8], position [k mod 8], as in {!Bitpack}), and a
+    receiver reads each peer's payload of the phase with
+    {!Netsim.Net.recv_one}:
+    - a missing payload, or one delivered more than once, reads as all
+      zeros;
+    - a short payload reads as zero-padded;
+    - a long payload's extra bytes, and any bits past the phase's bit
+      count, are never read.
+
+    [adv.flip_share] is called once per (multiplicative gate, corrupted
+    party): layer by layer, within a layer in gate-index order, and
+    within a gate in increasing party order, so a stateful predicate
+    sees a fixed sequence. *)
 val run :
   Netsim.Net.t ->
   Util.Prng.t ->
@@ -42,8 +57,8 @@ val run :
   adv:adv ->
   bytes array
 
-(** [triples_used ~circuit] — the number of AND gates = Beaver triples the
-    dealer must supply. *)
+(** [triples_used ~circuit] — the number of AND/OR gates (triples): each
+    consumes one Beaver triple the dealer must supply. *)
 val triples_used : circuit:Circuit.t -> int
 
 (** Closed-form cost spec of {!run} (see {!Analysis.Costs}): input
