@@ -8,15 +8,6 @@ type adv = {
 
 let honest_adv = { input_value = None; drop = None; eq = Equality.honest_adv }
 
-(* A party's "view" after the distribution round: its own input plus what it
-   heard from each other participant ([None] = silence). *)
-let write_view_msg w view =
-  Util.Codec.write_list w
-    (fun w (id, v) ->
-      Util.Codec.write_varint w id;
-      Util.Codec.write_option w Util.Codec.write_bytes v)
-    view
-
 (* Cost phases (see Analysis.Costs) for an honest run over [k] members
    with uniform [len]-byte inputs.  [idsum] is Σ varint_size(id) over the
    member ids (the id column of the view encoding; callers with a prefix
@@ -46,7 +37,7 @@ let cost_phases ~variant ~pre ~k ~idsum ~len ~n ~lambda =
         ~messages:ordered ~rounds:(Const 1);
     ]
   | Fingerprinted ->
-    (* write_view_msg: varint k, then per member varint id + option byte +
+    (* Equality.write_view: varint k, then per member varint id + option byte +
        framed value. *)
     let view_bytes =
       Add [ varint_e k; idsum; Mul [ k; Add [ Const 1; varint_e len; len ] ] ]
@@ -228,17 +219,12 @@ let run ?pool ?deadline net rng params ~variant ~participants ~input ~corruption
     in
     let views = Hashtbl.create 16 in
     List.iter2 (fun i view -> Hashtbl.replace views i view) members views_in_order;
-    (* Round 2: pairwise equality over the concatenated views.  View
-       encodings go through one shared scratch writer: Equality.pairwise
-       evaluates [value] once per member on the calling domain (its
-       sizing fold fills the cache before any sharded phase), so the
-       scratch is single-owner and its grown capacity is reused across
-       all |S| encodes instead of re-doubling a Buffer per member. *)
-    let view_scratch = Util.Codec.writer () in
+    (* Round 2: pairwise equality over the concatenated views, a party's
+       view being its own input plus what it heard from each other
+       participant ([None] = silence). *)
     let verdicts =
       Equality.pairwise ?pool ?deadline net rng params ~members
-        ~value:(fun i ->
-          Util.Codec.encode_into view_scratch write_view_msg (Hashtbl.find views i))
+        ~value:(Equality.view_value (Hashtbl.find views))
         ~corruption ~adv:adv.eq
     in
     List.map

@@ -68,6 +68,25 @@ let run ?deadline net rng params ~p1 ~p2 ~m1 ~m2 =
   in
   (p1_flag, verdict)
 
+(* A member's view as the protocols compare it (All-to-All §2.1,
+   Algorithm 3 step 5, Algorithm 8 step 7, the multi-output step 8): a
+   list of (party id, what that party sent, [None] for silence). *)
+let write_view w view =
+  Util.Codec.write_list w
+    (fun w (id, v) ->
+      Util.Codec.write_varint w id;
+      Util.Codec.write_option w Util.Codec.write_bytes v)
+    view
+
+(* One scratch writer per call: its capacity grows to the largest view
+   once, and each member's encoding is one copy out of it, instead of a
+   fresh [Buffer] doubling its way to every (possibly 285 KB) view.
+   [pairwise] calls [value] only on the calling domain, so the scratch
+   has a single owner. *)
+let view_value view_of =
+  let scratch = Util.Codec.writer () in
+  fun i -> Util.Codec.encode_into scratch write_view (view_of i)
+
 (* Run [body st pos] for every [pos] in [0, n): chunked across the pool
    when one is supplied, plain loop otherwise.  [init ()] builds one
    per-chunk scratch state (e.g. a reusable [Codec.writer]) owned by
@@ -94,24 +113,13 @@ let par_positions pool ~n ~init body =
       body st pos
     done
 
-let no_scratch () = ()
-
 let pairwise ?pool ?deadline net rng params ~members ~value ~corruption ~adv =
   let members_arr = Array.of_list members in
-  (* Callers often encode large views in [value]; evaluate once per member
-     (it is consulted again for sizing and for tamper-recovery checks).
-     The [max_len] fold below touches every member, so by the time
-     parallel jobs read the cache it is complete and never mutated. *)
-  let value =
-    let cache = Hashtbl.create 16 in
-    fun i ->
-      match Hashtbl.find_opt cache i with
-      | Some v -> v
-      | None ->
-        let v = value i in
-        Hashtbl.replace cache i v;
-        v
-  in
+  (* Callers often encode large views in [value]; evaluate it once per
+     member, here on the calling domain, before any parallel phase reads
+     the results (they are consulted again for sizing, table sharing and
+     tamper-recovery checks). *)
+  let values = Array.map value members_arr in
   let k = Array.length members_arr in
   let net_n = Netsim.Net.n net in
   let ok = Hashtbl.create k in
@@ -120,7 +128,7 @@ let pairwise ?pool ?deadline net rng params ~members ~value ~corruption ~adv =
   let is_corrupt i = Netsim.Corruption.is_corrupted corruption i in
   (* Fingerprint length: members may hold different-length values; size the
      test for the longest so soundness covers all pairs. *)
-  let max_len = List.fold_left (fun acc m -> max acc (Bytes.length (value m))) 1 members in
+  let max_len = Array.fold_left (fun acc v -> max acc (Bytes.length v)) 1 values in
   let t = Params.fingerprint_t params ~msg_len:max_len in
   (* Prime pool: the CRS samples 2t random primes once, after all values
      are fixed; each pair's keyed substream (below) then selects its own
@@ -131,12 +139,20 @@ let pairwise ?pool ?deadline net rng params ~members ~value ~corruption ~adv =
      prime instead of once per pair — Θ(k) less work on the hot path. *)
   let pool_size = 2 * t in
   let crs_primes = Crypto.Fingerprint.sample_primes rng pool_size in
-  (* Per-member residue tables over the whole pool: rng-free, so the
-     Horner evaluations (the CPU-heavy half at large values) can shard. *)
+  (* Residue tables over the whole pool.  A member whose value is
+     byte-equal to its predecessor's shares that member's table — one
+     [Bytes.equal] — so an honest run (every view the same) sweeps Horner
+     once instead of once per member, and no input costs more sweeps than
+     members.  The tables are read-only from here on — the tamper path
+     below copies the selected residues into a fresh record.  Rng-free;
+     each sweep shards its primes over the pool when it is large enough. *)
   let member_residues = Array.make k [||] in
-  par_positions pool ~n:k ~init:no_scratch (fun () idx ->
-      let v = value members_arr.(idx) in
-      member_residues.(idx) <- Crypto.Fingerprint.residues_many v crs_primes);
+  Array.iteri
+    (fun idx v ->
+      member_residues.(idx) <-
+        (if idx > 0 && Bytes.equal v values.(idx - 1) then member_residues.(idx - 1)
+         else Crypto.Fingerprint.residues_many ?pool v crs_primes))
+    values;
   (* Enumerate pairs in round-1 send order (sender-major, exactly the
      order the sequential loop used); [posmat] recovers a pair's position
      for the round-2 (receiver-major) commit. *)
@@ -306,7 +322,7 @@ let pairwise ?pool ?deadline net rng params ~members ~value ~corruption ~adv =
                let expected = Array.map (fun s -> crs_primes.(s)) sel in
                if fp.Crypto.Fingerprint.primes = expected then
                  fp.Crypto.Fingerprint.residues = Array.map (fun s -> res.(s)) sel
-               else Crypto.Fingerprint.check fp (value j))
+               else Crypto.Fingerprint.check fp values.(jdx))
              | None -> false)
         | None -> false
       in

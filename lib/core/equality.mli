@@ -11,10 +11,13 @@
     (Algorithm 2 step 4), and by the MPC protocols (Algorithm 3 step 5,
     Algorithm 8 step 7).
 
-    Domain-safety: {!pairwise} memoizes [value i] and each member's
-    residues, but both caches live inside the call — no state survives it
-    or is shared between concurrent runs, so parallel jobs that own their
-    network and RNG ({!Netsim.Net} contract) may run this freely. *)
+    Domain-safety: {!pairwise} evaluates [value i] once per member and
+    keeps residue tables that consecutive members with equal values
+    share, but all of it lives inside the call — no state survives it or
+    is shared between concurrent runs, so parallel jobs that own their
+    network and RNG ({!Netsim.Net} contract) may run this freely.  Nothing
+    writes a table after it is computed: the [tamper_fp] adversary
+    receives fresh arrays, never the table. *)
 
 (** How a corrupted party misbehaves in equality tests.  [tamper_fp] lets a
     corrupted sender substitute the fingerprint it sends; [lie_verdict]
@@ -59,15 +62,22 @@ val run :
     [t]-subset through a keyed substream [Prng.derive rng ~key:(i·n + j)].
     Each selected prime is a uniformly random prime sampled after the
     values were fixed, so Lemma 5's per-pair union bound is unchanged,
-    while members still evaluate Horner once per pool prime rather than
-    once per pair.
+    while Horner runs once per pool prime rather than once per pair — and
+    not once per member either: a member whose value is byte-equal to the
+    previous member's (one [Bytes.equal]) shares that member's residue
+    table, so when all members hold the same value, as in an honest run,
+    there is one table.  A residue is a function of the value and the
+    prime alone, so sharing changes no message; it draws nothing from
+    [rng] either, so the draws are those of the per-member computation.
 
-    {b Parallelism.}  With [~pool], the per-member residue tables and the
-    ~|members|²/2 per-pair jobs (fingerprint build/encode, residue
-    comparison) are dispatched through [Util.Pool.map_jobs]; because every
-    pair's randomness comes from its keyed substream — a pure function of
-    the parent stream position and the key — and sends are committed back
-    in pair order on the calling domain, transcripts and verdicts are
+    {b Parallelism.}  With [~pool], each residue table's
+    {!Crypto.Fingerprint.residues_many} sweep shards its primes over the
+    pool (above that kernel's work threshold), and the ~|members|²/2
+    per-pair jobs (fingerprint build/encode, residue comparison) are
+    dispatched through [Util.Pool.map_jobs].  Because every pair's
+    randomness comes from its keyed substream — a pure function of the
+    parent stream position and the key — and sends are committed back in
+    pair order on the calling domain, transcripts and verdicts are
     byte-identical at any jobs count.
 
     Cost: [O(|members|² · λ · log n)] bits in two rounds. *)
@@ -82,6 +92,16 @@ val pairwise :
   corruption:Netsim.Corruption.t ->
   adv:adv ->
   (int * bool) list
+
+(** [view_value view_of] is a [~value] for {!pairwise}: member [i]'s
+    value is the wire encoding of its view [view_of i], the string the
+    protocols' equality steps compare — the list of [(party id, what it
+    sent)] pairs, [None] marking silence, as a varint count, then per
+    entry a varint id and an optional length-prefixed byte string.  The
+    encodings share one scratch writer owned by the returned function, so
+    each view costs one copy; {!pairwise} calls [value] only on the
+    calling domain, which is what makes that sharing safe. *)
+val view_value : (int -> (int * bytes option) list) -> int -> bytes
 
 (** {1 Cost specs} (see {!Analysis.Costs})
 

@@ -192,14 +192,6 @@ type theorem4_costs = {
   output_bits : int;
 }
 
-let encode_ct_view view =
-  Util.Codec.encode
-    (fun w ->
-      Util.Codec.write_list w (fun w (id, ct) ->
-          Util.Codec.write_varint w id;
-          Util.Codec.write_option w Util.Codec.write_bytes ct))
-    view
-
 let encode_exchange entries =
   Util.Codec.encode
     (fun w ->
@@ -580,7 +572,7 @@ let run_theorem4_metered ?cover_size ?pool ?obs net rng config ~corruption ~inpu
   let verdicts =
     if List.length eq_members >= 2 then
       Equality.pairwise ?pool net rng params ~members:eq_members
-        ~value:(fun c -> encode_ct_view (Hashtbl.find merged c))
+        ~value:(Equality.view_value (Hashtbl.find merged))
         ~corruption ~adv:adv.eq
     else List.map (fun c -> (c, true)) eq_members
   in

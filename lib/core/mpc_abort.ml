@@ -38,17 +38,6 @@ let expected_output config ~inputs =
   let bits = Circuit.pack_inputs ~width:config.input_width (Array.to_list inputs) in
   Bitpack.pack (Circuit.eval config.circuit bits)
 
-(* A committee member's concatenated view of all parties' ciphertexts, with
-   explicit missing markers, sorted by party id — the string m_c that the
-   pairwise equality tests of step 5 compare. *)
-let encode_ct_view view =
-  Util.Codec.encode
-    (fun w ->
-      Util.Codec.write_list w (fun w (id, ct) ->
-          Util.Codec.write_varint w id;
-          Util.Codec.write_option w Util.Codec.write_bytes ct))
-    view
-
 (* Cost phases (see Analysis.Costs): the seven steps of Algorithm 3,
    composed from the sub-protocol specs.  Structural observables recorded
    by [run_metered ?obs] under [pre]: [members] (committee size K after
@@ -73,7 +62,7 @@ let cost_phases ~pre ~pke ~depth ~input_width ~out_bits ~n ~lambda =
   let pk_b = Cost_expr.pke_pk_bytes pke in
   let ct_b = Cost_expr.pke_ct_bytes pke ~plaintext_len:(Ceil_div (input_width, Const 8)) in
   let out_b = Ceil_div (out_bits, Const 8) in
-  (* m_c of step 5: write_list over all n parties of (varint id ·
+  (* m_c of step 5: Equality.write_view over all n parties (varint id ·
      write_option write_bytes ct); every entry costs its id varint plus
      one option byte, populated ones add the ciphertext with its length
      varint. *)
@@ -304,6 +293,8 @@ let run_metered ?pool ?deadline ?obs net rng config ~corruption ~inputs ~adv =
   let input_phase_bits = phase_bits s3 in
 
   (* ---- Step 5: pairwise equality on ciphertext views ---- *)
+  (* m_c is a member's view of all parties' ciphertexts, sorted by party
+     id with explicit missing markers, encoded by Equality.view_value. *)
   let s4 = mark_phase () in
   let eq_members = List.filter active members in
   ob "ctv_some"
@@ -315,7 +306,7 @@ let run_metered ?pool ?deadline ?obs net rng config ~corruption ~inputs ~adv =
   let verdicts =
     if List.length eq_members >= 2 then
       Equality.pairwise ?pool ?deadline net rng params ~members:eq_members
-        ~value:(fun c -> encode_ct_view (Hashtbl.find member_cts c))
+        ~value:(Equality.view_value (Hashtbl.find member_cts))
         ~corruption ~adv:adv.eq
     else List.map (fun c -> (c, true)) eq_members
   in

@@ -78,14 +78,6 @@ let decode_bundle b =
   | exception Util.Codec.Decode_error _ -> None
   | exception Invalid_argument _ -> None
 
-let encode_ct_view view =
-  Util.Codec.encode
-    (fun w ->
-      Util.Codec.write_list w (fun w (id, s) ->
-          Util.Codec.write_varint w id;
-          Util.Codec.write_option w Util.Codec.write_bytes s))
-    view
-
 let run net rng config ~corruption ~inputs ~adv =
   let module P = (val config.pke : Crypto.Pke.S) in
   let params = config.params in
@@ -266,7 +258,7 @@ let run net rng config ~corruption ~inputs ~adv =
   let verdicts =
     if List.length eq_members >= 2 then
       Equality.pairwise net rng params ~members:eq_members
-        ~value:(fun c -> encode_ct_view (Hashtbl.find member_subs c))
+        ~value:(Equality.view_value (Hashtbl.find member_subs))
         ~corruption ~adv:adv.eq
     else List.map (fun c -> (c, true)) eq_members
   in

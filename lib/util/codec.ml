@@ -13,19 +13,18 @@ let encode_into w f v =
   f w v;
   Buffer.to_bytes w
 
-(* Varints use the LEB128-style 7-bits-per-byte scheme on the two's
-   complement representation, so negative ints terminate (10 bytes max). *)
+(* Varints use the LEB128-style 7-bits-per-byte scheme on the 63-bit
+   two's complement representation, so negative ints terminate: at most
+   9 bytes, since 9 × 7 = 63.  A plain loop, not a local recursive
+   closure: this runs several times per pair of every equality round,
+   and a closure capturing [w] is an allocation per call. *)
 let write_varint w v =
-  let rec go v =
-    let low = v land 0x7F in
-    let rest = v lsr 7 in
-    if rest = 0 then Buffer.add_char w (Char.chr low)
-    else begin
-      Buffer.add_char w (Char.chr (low lor 0x80));
-      go rest
-    end
-  in
-  go v
+  let v = ref v in
+  while !v lsr 7 <> 0 do
+    Buffer.add_char w (Char.unsafe_chr ((!v land 0x7F) lor 0x80));
+    v := !v lsr 7
+  done;
+  Buffer.add_char w (Char.unsafe_chr !v)
 
 let write_int64 w v =
   for i = 0 to 7 do
@@ -107,19 +106,23 @@ let read_byte r =
   r.pos <- r.pos + 1;
   v
 
+(* The inverse loop of [write_varint], allocation-free for the same
+   reason.  Nine bytes carry all 63 bits, so a tenth byte is rejected
+   before it is read. *)
 let read_varint r =
   let start = r.pos in
-  let rec go shift acc =
-    if shift > 62 then
+  let acc = ref 0 and shift = ref 0 and more = ref true in
+  while !more do
+    if !shift > 62 then
       raise
         (Decode_error
            (Printf.sprintf "varint at offset %d too long (10th continuation byte at offset %d)"
               start r.pos));
     let b = read_byte r in
-    let acc = acc lor ((b land 0x7F) lsl shift) in
-    if b land 0x80 = 0 then acc else go (shift + 7) acc
-  in
-  go 0 0
+    acc := !acc lor ((b land 0x7F) lsl !shift);
+    if b land 0x80 = 0 then more := false else shift := !shift + 7
+  done;
+  !acc
 
 let read_int64 r =
   need r 8;

@@ -29,7 +29,13 @@ val reset : writer -> unit
     steps races. *)
 val encode_into : writer -> (writer -> 'a -> unit) -> 'a -> bytes
 
+(** [write_varint w v] appends [v] in LEB128 style: seven bits per byte,
+    low bits first, the high bit of each byte set when more follow.  The
+    encoding is of the 63-bit two's complement representation, so every
+    int — negative ones included — takes 1 to 9 bytes (see
+    {!varint_size}). *)
 val write_varint : writer -> int -> unit
+
 val write_int64 : writer -> int64 -> unit
 val write_bool : writer -> bool -> unit
 val write_byte : writer -> int -> unit
@@ -73,7 +79,11 @@ val at_end : reader -> bool
     count trailing bytes without copying the frame out. *)
 val pos : reader -> int
 
+(** [read_varint r] reads one {!write_varint} encoding.  A varint whose
+    first nine bytes all have their continuation bit set is rejected with
+    {!Decode_error} before a tenth byte is read. *)
 val read_varint : reader -> int
+
 val read_int64 : reader -> int64
 val read_bool : reader -> bool
 val read_byte : reader -> int

@@ -217,15 +217,21 @@ let derive t ~key =
 
 let int t bound =
   if bound <= 0 then invalid_arg "Prng.int: bound must be positive";
-  (* Rejection sampling on the top 62 bits to avoid modulo bias. *)
-  let mask = 0x3FFF_FFFF_FFFF_FFFF in
-  let rec go () =
+  (* Rejection sampling on the top 62 bits to avoid modulo bias: a draw
+     [r] is rejected when [r - r mod bound] starts an incomplete block of
+     [bound] values below 2^62.  A loop rather than a local recursive
+     closure, which would allocate on every call — and sample_into calls
+     this 2t - 1 times per pair of every equality round. *)
+  let limit = 0x3FFF_FFFF_FFFF_FFFF - bound + 1 in
+  step t;
+  let r = ref ((t.oh lsl 30) lor (t.ol lsr 2)) in
+  let v = ref (!r mod bound) in
+  while !r - !v > limit do
     step t;
-    let r = (t.oh lsl 30) lor (t.ol lsr 2) in
-    let v = r mod bound in
-    if r - v > mask - bound + 1 then go () else v
-  in
-  go ()
+    r := (t.oh lsl 30) lor (t.ol lsr 2);
+    v := !r mod bound
+  done;
+  !v
 
 let int_in t lo hi =
   if lo > hi then invalid_arg "Prng.int_in: lo > hi";

@@ -151,6 +151,388 @@ let test_pairwise_cost_scales_with_members () =
   let ratio = float_of_int b16 /. float_of_int b8 in
   checkb "quadratic growth" true (ratio > 3.0 && ratio < 5.0)
 
+(* ---- Differential oracle: [pairwise] against one table per member ----
+
+   [Reference] is [pairwise] as it was before a member whose value is
+   byte-equal to its predecessor's came to share that member's residue
+   table: it computes a table per member.  Apart from its comments it is kept verbatim, so any change
+   in what the protocol puts on the wire, decides or draws shows up as a
+   difference.  The property runs both on random member sets over a few
+   value classes with near-duplicates, under random corruption and four
+   adversaries, and compares every submitted message (src, dst, payload)
+   in order, the verdicts, bits/messages/rounds, the adversary's call
+   count and the next draw of the parent RNG. *)
+module Reference = struct
+  let decode_fp b =
+    match Util.Codec.decode Crypto.Fingerprint.decode b with
+    | fp -> Some fp
+    | exception Util.Codec.Decode_error _ -> None
+
+  let par_positions pool ~n ~init body =
+    match pool with
+    | Some p when n > 1 ->
+      let nchunks = max 1 (min n ((Util.Pool.num_domains p + 1) * 8)) in
+      let chunks = Array.init nchunks (fun c -> (c * n / nchunks, (c + 1) * n / nchunks)) in
+      let (_ : unit array) =
+        Util.Pool.map_jobs p chunks (fun (lo, hi) ->
+            let st = init () in
+            for pos = lo to hi - 1 do
+              body st pos
+            done)
+      in
+      ()
+    | _ ->
+      let st = init () in
+      for pos = 0 to n - 1 do
+        body st pos
+      done
+
+  let no_scratch () = ()
+
+  let pairwise ?pool ?deadline net rng params ~members ~value ~corruption ~adv =
+    let members_arr = Array.of_list members in
+    let value =
+      let cache = Hashtbl.create 16 in
+      fun i ->
+        match Hashtbl.find_opt cache i with
+        | Some v -> v
+        | None ->
+          let v = value i in
+          Hashtbl.replace cache i v;
+          v
+    in
+    let k = Array.length members_arr in
+    let net_n = Netsim.Net.n net in
+    let ok = Hashtbl.create k in
+    List.iter (fun m -> Hashtbl.replace ok m true) members;
+    let fail m = Hashtbl.replace ok m false in
+    let is_corrupt i = Netsim.Corruption.is_corrupted corruption i in
+    let max_len = List.fold_left (fun acc m -> max acc (Bytes.length (value m))) 1 members in
+    let t = Mpc.Params.fingerprint_t params ~msg_len:max_len in
+    let pool_size = 2 * t in
+    let crs_primes = Crypto.Fingerprint.sample_primes rng pool_size in
+    let member_residues = Array.make k [||] in
+    par_positions pool ~n:k ~init:no_scratch (fun () idx ->
+        let v = value members_arr.(idx) in
+        member_residues.(idx) <- Crypto.Fingerprint.residues_many v crs_primes);
+    let pairs = Array.make (k * (k - 1) / 2) 0 in
+    let posmat = Array.make (k * k) (-1) in
+    let npairs = ref 0 in
+    Array.iteri
+      (fun idx i ->
+        Array.iteri
+          (fun jdx j ->
+            if i < j then begin
+              pairs.(!npairs) <- (idx * k) + jdx;
+              posmat.((idx * k) + jdx) <- !npairs;
+              incr npairs
+            end)
+          members_arr)
+      members_arr;
+    let npairs = !npairs in
+    let payloads = Array.make npairs Bytes.empty in
+    let sel_store = if pool_size <= 256 then Some (Bytes.create (npairs * t)) else None in
+    let pair_scratch () =
+      (Util.Codec.writer (), Array.make pool_size 0, Array.make t 0)
+    in
+    let select_pair ~perm ~sel i j =
+      let child = Util.Prng.derive rng ~key:((i * net_n) + j) in
+      Util.Prng.sample_into child ~n:pool_size ~k:t ~scratch:perm ~dst:sel ~pos:0
+    in
+    par_positions pool ~n:npairs ~init:pair_scratch
+      (fun (scratch, perm, sel) pos ->
+        let code = pairs.(pos) in
+        let idx = code / k and jdx = code mod k in
+        let i = members_arr.(idx) and j = members_arr.(jdx) in
+        select_pair ~perm ~sel i j;
+        (match sel_store with
+        | Some store ->
+          let off = pos * t in
+          for s = 0 to t - 1 do
+            Bytes.unsafe_set store (off + s) (Char.unsafe_chr sel.(s))
+          done
+        | None -> ());
+        match adv.Mpc.Equality.tamper_fp with
+        | Some f when is_corrupt i ->
+          let fp =
+            { Crypto.Fingerprint.primes = Array.map (fun s -> crs_primes.(s)) sel;
+              residues = Array.map (fun s -> member_residues.(idx).(s)) sel
+            }
+          in
+          let fp = f ~me:i ~dst:j fp in
+          payloads.(pos) <- Util.Codec.encode_into scratch Crypto.Fingerprint.encode fp
+        | _ ->
+          Util.Codec.reset scratch;
+          let res = member_residues.(idx) in
+          Util.Codec.write_varint scratch t;
+          for s = 0 to t - 1 do
+            Util.Codec.write_varint scratch crs_primes.(sel.(s))
+          done;
+          Util.Codec.write_varint scratch t;
+          for s = 0 to t - 1 do
+            Util.Codec.write_varint scratch res.(sel.(s))
+          done;
+          payloads.(pos) <- Util.Codec.contents scratch);
+    for pos = 0 to npairs - 1 do
+      let code = pairs.(pos) in
+      Netsim.Net.send net ~src:members_arr.(code / k) ~dst:members_arr.(code mod k)
+        payloads.(pos)
+    done;
+    Netsim.Net.step_until_quiet ?deadline net;
+    let incoming = Array.make npairs None in
+    for pos = 0 to npairs - 1 do
+      let code = pairs.(pos) in
+      incoming.(pos) <-
+        Netsim.Net.recv_one net ~dst:members_arr.(code mod k) ~src:members_arr.(code / k)
+    done;
+    let verdicts = Array.make npairs false in
+    let reported = Array.make npairs false in
+    let verify_fast b sel res =
+      let r = Util.Codec.reader b in
+      match
+        Util.Codec.read_varint r = t
+        && (let ok = ref true in
+            let s = ref 0 in
+            while !ok && !s < t do
+              if Util.Codec.read_varint r <> crs_primes.(sel.(!s)) then ok := false;
+              incr s
+            done;
+            !ok)
+        && Util.Codec.read_varint r = t
+        && (let ok = ref true in
+            let s = ref 0 in
+            while !ok && !s < t do
+              if Util.Codec.read_varint r <> res.(sel.(!s)) then ok := false;
+              incr s
+            done;
+            !ok)
+        && Util.Codec.at_end r
+      with
+      | ok -> ok
+      | exception Util.Codec.Decode_error _ -> false
+    in
+    let reload_selection ~perm ~sel pos i j =
+      match sel_store with
+      | Some store ->
+        let off = pos * t in
+        for s = 0 to t - 1 do
+          sel.(s) <- Char.code (Bytes.unsafe_get store (off + s))
+        done
+      | None -> select_pair ~perm ~sel i j
+    in
+    par_positions pool ~n:npairs ~init:pair_scratch
+      (fun (_, perm, sel) pos ->
+        let code = pairs.(pos) in
+        let jdx = code mod k in
+        let i = members_arr.(code / k) and j = members_arr.(jdx) in
+        reload_selection ~perm ~sel pos i j;
+        let verdict =
+          match incoming.(pos) with
+          | Some b ->
+            let res = member_residues.(jdx) in
+            verify_fast b sel res
+            || (match decode_fp b with
+               | Some fp -> (
+                 let expected = Array.map (fun s -> crs_primes.(s)) sel in
+                 if fp.Crypto.Fingerprint.primes = expected then
+                   fp.Crypto.Fingerprint.residues = Array.map (fun s -> res.(s)) sel
+                 else Crypto.Fingerprint.check fp (value j))
+               | None -> false)
+          | None -> false
+        in
+        verdicts.(pos) <- verdict;
+        reported.(pos) <-
+          (match adv.Mpc.Equality.lie_verdict with
+          | Some f when is_corrupt j -> f ~me:j ~dst:i verdict
+          | _ -> verdict));
+    let verdict_yes = Bytes.make 1 '\001' and verdict_no = Bytes.make 1 '\000' in
+    Array.iteri
+      (fun jdx j ->
+        Array.iteri
+          (fun idx i ->
+            if i < j then begin
+              let pos = posmat.((idx * k) + jdx) in
+              if not verdicts.(pos) then fail j;
+              Netsim.Net.send net ~src:j ~dst:i
+                (if reported.(pos) then verdict_yes else verdict_no)
+            end)
+          members_arr)
+      members_arr;
+    Netsim.Net.step_until_quiet ?deadline net;
+    Array.iter
+      (fun i ->
+        Array.iter
+          (fun j ->
+            if i < j then begin
+              let accepted =
+                match Netsim.Net.recv_one net ~dst:i ~src:j with
+                | Some b when Bytes.length b = 1 -> Bytes.get b 0 = '\001'
+                | _ -> false
+              in
+              if not accepted then fail i
+            end)
+          members_arr)
+      members_arr;
+    List.map (fun m -> (m, Hashtbl.find ok m)) members
+end
+
+(* How a member's value derives from its class's base value: the same
+   bytes, one flipped bit, one appended byte, or empty. *)
+type variant = Same | Flip of int * int | Append of char | Empty
+
+type case = {
+  n : int;
+  bases : string array;  (** 1-4 value classes *)
+  members : (int * int * variant) list;  (** (party, class, variant) *)
+  corrupted : int list;
+  adversary : int;  (** 0 honest, 1 pure tamper, 2 stateful tamper, 3 lying verdicts *)
+  seed : int;
+}
+
+let member_value case (_, cls, variant) =
+  let base = Bytes.of_string case.bases.(cls) in
+  match variant with
+  | Same -> base
+  | Flip (pos, bit) when Bytes.length base > 0 ->
+    let pos = pos mod Bytes.length base in
+    Bytes.set base pos (Char.chr (Char.code (Bytes.get base pos) lxor (1 lsl bit)));
+    base
+  | Flip _ -> Bytes.make 1 '\000'
+  | Append c -> Bytes.cat base (Bytes.make 1 c)
+  | Empty -> Bytes.empty
+
+let gen_case =
+  let open QCheck.Gen in
+  let base =
+    (* Mostly short values; now and then one large enough for
+       [residues_many] to shard its primes over a pool. *)
+    frequency [ (9, string_size (int_bound 200)); (1, string_size (int_range 20_000 24_000)) ]
+  in
+  let variant =
+    frequency
+      [ (6, return Same);
+        (2, map2 (fun pos bit -> Flip (pos, bit)) nat (int_bound 7));
+        (1, map (fun c -> Append c) char);
+        (1, return Empty)
+      ]
+  in
+  int_range 2 40 >>= fun n ->
+  int_range 1 4 >>= fun nclasses ->
+  array_repeat nclasses base >>= fun bases ->
+  list_repeat n (triple bool (int_bound (nclasses - 1)) variant) >>= fun slots ->
+  list_repeat n (frequency [ (3, return false); (1, return true) ]) >>= fun corrupt ->
+  int_bound 3 >>= fun adversary ->
+  int >|= fun seed ->
+  let members =
+    List.concat (List.mapi (fun i (m, cls, v) -> if m then [ (i, cls, v) ] else []) slots)
+  in
+  let corrupted = List.concat (List.mapi (fun i c -> if c then [ i ] else []) corrupt) in
+  { n; bases; members; corrupted; adversary; seed }
+
+let print_case c =
+  let variant = function
+    | Same -> "="
+    | Flip (p, b) -> Printf.sprintf "flip(%d,%d)" p b
+    | Append c -> Printf.sprintf "append(%d)" (Char.code c)
+    | Empty -> "empty"
+  in
+  Printf.sprintf "n=%d seed=%d adversary=%d bases=[%s] corrupted=[%s] members=[%s]" c.n
+    c.seed c.adversary
+    (String.concat ";" (List.map (fun b -> string_of_int (String.length b)) (Array.to_list c.bases)))
+    (String.concat ";" (List.map string_of_int c.corrupted))
+    (String.concat ";"
+       (List.map (fun (i, cls, v) -> Printf.sprintf "%d:%d%s" i cls (variant v)) c.members))
+
+(* The adversaries.  [bump] mutates the record a [tamper_fp] is handed in
+   place, so an implementation that passed a shared residue table to the
+   adversary would corrupt other members' checks.  The stateful one
+   tampers on every other call, which pins how often and in what order
+   [tamper_fp] is called.  On a pool the calls race, so there it keys the
+   choice on the pair instead, and the pooled run is compared with the
+   reference's pooled run. *)
+let adversary case ~ordered calls =
+  let bump (fp : Crypto.Fingerprint.fp) s =
+    let t = Array.length fp.residues in
+    if t > 0 then fp.residues.(s mod t) <- fp.residues.(s mod t) + 1
+  in
+  match case.adversary with
+  | 0 -> Mpc.Equality.honest_adv
+  | 1 ->
+    let tamper ~me ~dst (fp : Crypto.Fingerprint.fp) =
+      match (me + dst) mod 4 with
+      | 0 -> fp
+      | 1 ->
+        bump fp (me * dst);
+        fp
+      | 2 ->
+        (* Same primes in another order: the receiver's recompute path. *)
+        { Crypto.Fingerprint.primes = Array.of_list (List.rev (Array.to_list fp.primes));
+          residues = Array.of_list (List.rev (Array.to_list fp.residues))
+        }
+      | _ -> { Crypto.Fingerprint.primes = [||]; residues = [||] }
+    in
+    { Mpc.Equality.tamper_fp = Some tamper; lie_verdict = None }
+  | 2 ->
+    let tamper ~me ~dst fp =
+      let c = Atomic.fetch_and_add calls 1 in
+      if (if ordered then c mod 2 = 0 else (me + dst) mod 2 = 0) then bump fp dst;
+      fp
+    in
+    { Mpc.Equality.tamper_fp = Some tamper; lie_verdict = None }
+  | _ ->
+    { Mpc.Equality.tamper_fp = None;
+      lie_verdict = Some (fun ~me ~dst v -> if (me + dst) mod 3 = 0 then not v else v)
+    }
+
+(* Everything [pairwise] makes observable, with a transport that records
+   each submission in order. *)
+let observe case pairwise ?pool () =
+  let log = ref [] in
+  let sync = Netsim.Transport.sync () in
+  let transport =
+    { sync with
+      Netsim.Transport.submit =
+        (fun ~src ~dst b ->
+          log := (src, dst, Bytes.to_string b) :: !log;
+          sync.submit ~src ~dst b)
+    }
+  in
+  let net = Netsim.Net.create ~transport case.n in
+  let rng = Util.Prng.create case.seed in
+  let corruption =
+    Netsim.Corruption.make ~n:case.n ~corrupted:(Util.Iset.of_list case.corrupted)
+  in
+  let calls = Atomic.make 0 in
+  let adv = adversary case ~ordered:(pool = None) calls in
+  let values = Hashtbl.create 16 in
+  List.iter (fun ((i, _, _) as m) -> Hashtbl.replace values i (member_value case m)) case.members;
+  let verdicts =
+    pairwise ?pool net rng (params case.n)
+      ~members:(List.map (fun (i, _, _) -> i) case.members)
+      ~value:(fun i -> Bytes.copy (Hashtbl.find values i))
+      ~corruption ~adv
+  in
+  ( List.rev !log,
+    verdicts,
+    (Netsim.Net.total_bits net, Netsim.Net.messages_sent net, Netsim.Net.rounds net),
+    Atomic.get calls,
+    Util.Prng.bits64 rng )
+
+let pool1 = lazy (Util.Pool.create ~num_domains:1 ())
+
+let prop_pairwise_matches_reference =
+  let reference = fun ?pool -> Reference.pairwise ?pool ?deadline:None
+  and pairwise = fun ?pool -> Mpc.Equality.pairwise ?pool ?deadline:None in
+  QCheck.Test.make ~count:300 ~name:"pairwise = per-member-table reference (sequential, pool)"
+    (QCheck.make ~print:print_case gen_case)
+    (fun case ->
+      let pool = Lazy.force pool1 in
+      let sequential = observe case reference () in
+      (* The pooled stateful adversary keys on the pair, so its run is
+         compared with the reference's run under the same adversary. *)
+      let pooled = if case.adversary = 2 then observe case reference ~pool () else sequential in
+      observe case pairwise () = sequential && observe case pairwise ~pool () = pooled)
+
 let () =
   Alcotest.run "equality"
     [
@@ -169,5 +551,6 @@ let () =
           Alcotest.test_case "tampered fingerprints" `Quick test_pairwise_tampered_fingerprint;
           Alcotest.test_case "lying verdict" `Quick test_pairwise_lying_verdict_cannot_fool_receiver;
           Alcotest.test_case "quadratic cost" `Quick test_pairwise_cost_scales_with_members;
+          QCheck_alcotest.to_alcotest prop_pairwise_matches_reference;
         ] );
     ]

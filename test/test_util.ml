@@ -177,6 +177,23 @@ module Prng_ref = struct
     let st = ref (logxor digest (of_int key)) in
     let seed = logxor (splitmix_next st) (splitmix_next st) in
     of_seed64 seed
+
+  (* Rejection sampling on the top 62 bits of each word, as a recursive
+     function; [rejections] counts the words thrown away. *)
+  let rejections = ref 0
+
+  let int t bound =
+    let mask = 0x3FFF_FFFF_FFFF_FFFF in
+    let rec go () =
+      let r = Int64.to_int (Int64.shift_right_logical (bits64 t) 2) in
+      let v = r mod bound in
+      if r - v > mask - bound + 1 then begin
+        incr rejections;
+        go ()
+      end
+      else v
+    in
+    go ()
 end
 
 let prop_prng_matches_int64_reference =
@@ -197,6 +214,36 @@ let prop_prng_matches_int64_reference =
       (* Negative keys exercise the sign-extended key fold. *)
       let da' = Util.Prng.derive a ~key:(-key - 1) and dr' = Prng_ref.derive r ~key:(-key - 1) in
       !ok && Util.Prng.bits64 da' = Prng_ref.bits64 dr')
+
+(* Bounds of every size, including those at and above 2^61, where a
+   large share of 62-bit words is rejected; after the draws both streams
+   must also sit at the same position. *)
+let prop_prng_int_matches_reference =
+  let bound =
+    QCheck.Gen.(
+      oneof
+        [ int_range 1 1000;
+          int_range 1 max_int;
+          oneofl [ 1; 2; max_int; max_int - 1; 1 lsl 61; (1 lsl 61) + 1; 3 lsl 60 ];
+          map (fun k -> (1 lsl 61) + k) (int_bound ((1 lsl 61) - 1))
+        ])
+  in
+  QCheck.Test.make ~count:300 ~name:"prng: int = top-62-bit rejection reference"
+    QCheck.(pair int (make ~print:Print.(list int) (Gen.list_size (Gen.int_range 1 40) bound)))
+    (fun (seed, bounds) ->
+      let a = Util.Prng.create seed and r = Prng_ref.create seed in
+      List.for_all (fun b -> Util.Prng.int a b = Prng_ref.int r b) bounds
+      && Util.Prng.bits64 a = Prng_ref.bits64 r)
+
+let test_prng_int_rejection_fires () =
+  (* At bound 2^61 + 1 about half the words are rejected, so 64 draws
+     without one would be a 2^-64 event: the pinned path is exercised. *)
+  let a = Util.Prng.create 5 and r = Prng_ref.create 5 in
+  let before = !Prng_ref.rejections in
+  for _ = 1 to 64 do
+    checki "draw" (Prng_ref.int r ((1 lsl 61) + 1)) (Util.Prng.int a ((1 lsl 61) + 1))
+  done;
+  checkb "rejections happened" true (!Prng_ref.rejections > before)
 
 let test_sample_without_replacement () =
   let rng = Util.Prng.create 13 in
@@ -391,6 +438,136 @@ let codec_prop_varint_list =
   QCheck.Test.make ~name:"codec int list roundtrip" ~count:500
     QCheck.(list (int_bound 1_000_000))
     (fun lst -> Util.Codec.decode_int_list (Util.Codec.encode_int_list lst) = lst)
+
+(* ---- Varint kernels against recursive references ---- *)
+
+module Varint_ref = struct
+  let write buf v =
+    let rec go v =
+      let low = v land 0x7F and rest = v lsr 7 in
+      if rest = 0 then Buffer.add_char buf (Char.chr low)
+      else begin
+        Buffer.add_char buf (Char.chr (low lor 0x80));
+        go rest
+      end
+    in
+    go v
+
+  (* [read b ~pos ~limit] is [Ok (value, next offset)] or [Error message],
+     the message [Codec.Decode_error] must carry. *)
+  let read b ~pos ~limit =
+    let rec go shift acc p =
+      if shift > 62 then
+        Error
+          (Printf.sprintf "varint at offset %d too long (10th continuation byte at offset %d)"
+             pos p)
+      else if p >= limit then
+        Error
+          (Printf.sprintf "need 1 bytes at offset %d, but only %d remain (window ends at %d)" p
+             (limit - p) limit)
+      else
+        let byte = Char.code (Bytes.get b p) in
+        let acc = acc lor ((byte land 0x7F) lsl shift) in
+        if byte land 0x80 = 0 then Ok (acc, p + 1) else go (shift + 7) acc (p + 1)
+    in
+    go 0 0 pos
+end
+
+let gen_any_int =
+  QCheck.Gen.(
+    oneof
+      [ int;
+        small_signed_int;
+        oneofl [ min_int; max_int; -1; 0; 127; 128; (1 lsl 56) - 1; 1 lsl 56; -(1 lsl 56) ]
+      ])
+
+let codec_prop_varint_write_reference =
+  QCheck.Test.make ~count:1000 ~name:"codec: write_varint = recursive reference, <= 9 bytes"
+    (QCheck.make ~print:string_of_int gen_any_int)
+    (fun v ->
+      let buf = Buffer.create 16 in
+      Varint_ref.write buf v;
+      (* Into a writer that already holds (and has grown past) content. *)
+      let w = Util.Codec.writer () in
+      Util.Codec.write_raw w (Bytes.make 100 'x');
+      Util.Codec.write_varint w v;
+      let enc = Util.Codec.contents w in
+      let enc = Bytes.sub_string enc 100 (Bytes.length enc - 100) in
+      enc = Buffer.contents buf
+      && String.length enc <= 9
+      && String.length enc = Util.Codec.varint_size v)
+
+(* Input for the reader: random bytes, truncated encodings, and runs of
+   continuation bytes around the nine-byte limit, read from a window at
+   a random offset. *)
+let gen_varint_input =
+  QCheck.Gen.(
+    let continuation = map (fun c -> Char.chr (Char.code c lor 0x80)) char in
+    oneof
+      [ string_size (int_bound 12);
+        ( gen_any_int >>= fun v ->
+          let buf = Buffer.create 16 in
+          Varint_ref.write buf v;
+          let s = Buffer.contents buf in
+          int_bound (String.length s) >|= fun cut -> String.sub s 0 cut );
+        ( int_range 8 11 >>= fun k ->
+          string_size ~gen:continuation (return k) >>= fun run ->
+          string_size (int_bound 2) >|= fun tail -> run ^ tail )
+      ]
+    >>= fun body ->
+    pair (string_size (int_bound 3)) (string_size (int_bound 3)) >|= fun (pre, post) ->
+    (pre, body, post))
+
+let codec_prop_varint_read_reference =
+  QCheck.Test.make ~count:1000 ~name:"codec: read_varint = recursive reference, error for error"
+    (QCheck.make
+       ~print:(fun (pre, body, post) ->
+         Printf.sprintf "%S | %S | %S" pre body post)
+       gen_varint_input)
+    (fun (pre, body, post) ->
+      let b = Bytes.of_string (pre ^ body ^ post) in
+      let pos = String.length pre and len = String.length body in
+      let r = Util.Codec.of_sub b ~pos ~len in
+      let got =
+        match Util.Codec.read_varint r with
+        | v -> Ok (v, Util.Codec.pos r)
+        | exception Util.Codec.Decode_error m -> Error m
+      in
+      got = Varint_ref.read b ~pos ~limit:(pos + len))
+
+(* The per-pair kernels of the equality round allocate nothing: 10^5
+   calls each stay under 0.01 minor words per call (the allowance covers
+   the measurement's own boxed floats and reader record). *)
+let test_kernels_allocation_free () =
+  let calls = 100_000 in
+  let per_call name f =
+    let before = Gc.minor_words () in
+    f ();
+    let words = (Gc.minor_words () -. before) /. float_of_int calls in
+    checkb (Printf.sprintf "%s: %.4f words/call < 0.01" name words) true (words < 0.01)
+  in
+  let w = Util.Codec.writer () in
+  let write_all () =
+    for i = 1 to calls do
+      Util.Codec.write_varint w ((i * 0x9E3779B9) - (1 lsl 40))
+    done
+  in
+  write_all ();
+  let encoded = Util.Codec.contents w in
+  Util.Codec.reset w;
+  per_call "write_varint" write_all;
+  let sum = ref 0 in
+  per_call "read_varint" (fun () ->
+      let r = Util.Codec.reader encoded in
+      for _ = 1 to calls do
+        sum := !sum + Util.Codec.read_varint r
+      done);
+  let rng = Util.Prng.create 3 in
+  per_call "Prng.int" (fun () ->
+      for i = 1 to calls do
+        sum := !sum + Util.Prng.int rng (1 + (i land 0xFFFF))
+      done);
+  checkb "kernels ran" true (!sum <> 0)
 
 (* ---- Slice readers and zero-copy views ---- *)
 
@@ -763,6 +940,8 @@ let () =
           QCheck_alcotest.to_alcotest prop_derive_distinct_keys;
           QCheck_alcotest.to_alcotest prop_derive_parent_untouched;
           QCheck_alcotest.to_alcotest prop_prng_matches_int64_reference;
+          QCheck_alcotest.to_alcotest prop_prng_int_matches_reference;
+          Alcotest.test_case "int rejection pinned" `Quick test_prng_int_rejection_fires;
           QCheck_alcotest.to_alcotest prop_sample_into_matches_list;
           Alcotest.test_case "sample w/o replacement" `Quick test_sample_without_replacement;
           Alcotest.test_case "sample covers all" `Quick test_sample_covers_everything;
@@ -782,6 +961,9 @@ let () =
           Alcotest.test_case "int list helper" `Quick test_codec_int_list;
           QCheck_alcotest.to_alcotest codec_prop_bytes;
           QCheck_alcotest.to_alcotest codec_prop_varint_list;
+          QCheck_alcotest.to_alcotest codec_prop_varint_write_reference;
+          QCheck_alcotest.to_alcotest codec_prop_varint_read_reference;
+          Alcotest.test_case "kernels allocation-free" `Quick test_kernels_allocation_free;
           QCheck_alcotest.to_alcotest codec_prop_slice_reader_equiv;
           QCheck_alcotest.to_alcotest codec_prop_slice_reader_bounds;
           QCheck_alcotest.to_alcotest codec_prop_views_equiv;
