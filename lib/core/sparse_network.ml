@@ -10,15 +10,59 @@ let honest_adv = { extra_targets = None; drop_notify = None }
    instead of allocating n·d fresh one-byte buffers. *)
 let notify_payload = Bytes.make 1 '\001'
 
-let outcome_of_inbox ~bound ~out_hops i inbox =
-  let incoming = List.sort_uniq compare (List.map fst inbox) in
-  if List.length incoming > bound then
-    Outcome.Abort (Outcome.Flooded "incoming degree above 2d")
-  else
-    Outcome.Output
-      (Array.fold_left
-         (fun s v -> Util.Iset.add v s)
-         (Util.Iset.of_list incoming) out_hops.(i))
+(* [shapes m] is [[| {}; {0}; {0, 1}; ...; {0, ..., m - 1} |]].  Stdlib
+   sets have no linear-time builder from sorted input ([of_list] sorts
+   again), but [Iset.map] of a strictly increasing function rebuilds its
+   argument's balanced shape node for node, so mapping [shapes.(k)]
+   through a sorted, distinct k-element array builds that array's set
+   in O(k) allocation. *)
+let shapes m =
+  let a = Array.make (m + 1) Util.Iset.empty in
+  for k = 1 to m do
+    a.(k) <- Util.Iset.add (k - 1) a.(k - 1)
+  done;
+  a
+
+(* Party [i]'s outcome from its delivered notifications: the distinct
+   senders, checked against [bound], then merged once with the sorted,
+   distinct [out_hops.(i)] into one set.  The senders arrive ascending
+   under the sync transport, so they are sorted only when they do not. *)
+let outcome_of_inbox ~bound ~out_hops ~shapes i inbox =
+  let senders = Array.make (List.length inbox) 0 in
+  List.iteri (fun k (src, _) -> senders.(k) <- src) inbox;
+  let len = Array.length senders in
+  let ascending = ref true in
+  for k = 1 to len - 1 do
+    if senders.(k - 1) > senders.(k) then ascending := false
+  done;
+  if not !ascending then Array.sort Int.compare senders;
+  let m = ref (min len 1) in
+  for k = 1 to len - 1 do
+    if senders.(k) <> senders.(!m - 1) then begin
+      senders.(!m) <- senders.(k);
+      incr m
+    end
+  done;
+  if !m > bound then Outcome.Abort (Outcome.Flooded "incoming degree above 2d")
+  else begin
+    let hops = out_hops.(i) in
+    let h = Array.length hops in
+    let merged = Array.make (!m + h) 0 in
+    let a = ref 0 and b = ref 0 and w = ref 0 in
+    while !a < !m || !b < h do
+      if !b >= h || (!a < !m && senders.(!a) < hops.(!b)) then begin
+        merged.(!w) <- senders.(!a);
+        incr a
+      end
+      else begin
+        if !a < !m && senders.(!a) = hops.(!b) then incr a;
+        merged.(!w) <- hops.(!b);
+        incr b
+      end;
+      incr w
+    done;
+    Outcome.Output (Util.Iset.map (fun j -> merged.(j)) shapes.(!w))
+  end
 
 (* Cost spec (see Analysis.Costs): fully closed-form — every party sends
    one 1-byte notification to each of its min(d, n−1) distinct sampled
@@ -84,11 +128,8 @@ let run_iter ?pool ?obs net rng params ~corruption ~adv ~f =
      ~1 GB where the flat arrays cost a third of that. *)
   let out_hops =
     Array.init n (fun i ->
-        let sample =
-          Util.Prng.sample_without_replacement rng ~n:(n - 1) ~k:(min d (n - 1))
-        in
+        let a = Util.Prng.sample_array rng ~n:(n - 1) ~k:(min d (n - 1)) in
         (* Map [0, n-2] onto [0, n-1] \ {i}. *)
-        let a = Array.of_list sample in
         for k = 0 to Array.length a - 1 do
           if a.(k) >= i then a.(k) <- a.(k) + 1
         done;
@@ -97,6 +138,9 @@ let run_iter ?pool ?obs net rng params ~corruption ~adv ~f =
   (match obs with
   | Some o -> Analysis.Costs.Obs.set o "union_degmax" (union_degmax out_hops)
   | None -> ());
+  (* A set that passes the bound holds at most [bound] senders and [d]
+     out-hops, none of them the party itself. *)
+  let shapes = shapes (min (n - 1) (bound + d)) in
   (* Step 2: notification.  Corrupted parties may add extra targets (to
      flood a victim) or silently skip some notifications. *)
   for i = 0 to n - 1 do
@@ -130,7 +174,7 @@ let run_iter ?pool ?obs net rng params ~corruption ~adv ~f =
   (match pool with
   | None ->
     for i = 0 to n - 1 do
-      f i (outcome_of_inbox ~bound ~out_hops i (Netsim.Net.recv net ~dst:i))
+      f i (outcome_of_inbox ~bound ~out_hops ~shapes i (Netsim.Net.recv net ~dst:i))
     done
   | Some _ ->
     let outs =
@@ -138,7 +182,7 @@ let run_iter ?pool ?obs net rng params ~corruption ~adv ~f =
         ~parties:(List.init n (fun i -> i))
         (fun p ->
           let i = Netsim.Net.Party.id p in
-          outcome_of_inbox ~bound ~out_hops i (Netsim.Net.Party.recv p))
+          outcome_of_inbox ~bound ~out_hops ~shapes i (Netsim.Net.Party.recv p))
     in
     List.iteri f outs)
 

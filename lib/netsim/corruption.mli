@@ -26,7 +26,11 @@ val targeting : Util.Prng.t -> n:int -> h:int -> victim:int -> t
 val n : t -> int
 val num_honest : t -> int
 val num_corrupted : t -> int
+
+(** O(1): a [t] keeps one byte per party for these lookups.  An id
+    outside [\[0, n)] is never corrupted. *)
 val is_honest : t -> int -> bool
+
 val is_corrupted : t -> int -> bool
 val honest : t -> Util.Iset.t
 val corrupted : t -> Util.Iset.t

@@ -17,7 +17,15 @@
      transport (Event_net) can delay and reorder under identical protocol
      code.
    - Bit counters are flat length-n int arrays, and each party's peers
-     are one {!Util.Intset}, created on the first send to or from it.
+     are one {!Util.Intset}.  [send] does not touch the peer sets: it
+     appends the edge, packed [(src lsl 31) lor dst], to a log.  [step]
+     and every peer query fold the log into the sets first, in two
+     passes: the first counts each party's new entries, the second
+     sizes each touched set once for all of them (capped at n - 1
+     distinct peers) and inserts.  A receiver's set thus grows once per
+     round instead of doubling its way up one message at a time.  The
+     log holds one word per message sent since the last fold; its
+     buffer grows by doubling and is kept for the next round.
    - A party's inbox record is created on its first delivery.  It keeps
      an arrival-order log as two parallel arrays (sender ids, payloads),
      so a delivery allocates nothing per message or per recipient–sender
@@ -58,9 +66,12 @@ type inbox = {
 let no_inbox =
   { srcs = [||]; payloads = [||]; len = 0; live = 0; sorted = true; index = [||]; indexed = -1 }
 
-(* Every party's peer set until its first send or receipt.  Never
-   written: [add_peer] replaces it before adding. *)
+(* Every party's peer set until its first fold.  Never written:
+   [add_peer] replaces it before adding. *)
 let no_peers = Util.Intset.create ()
+
+(* An edge in the send log: [(src lsl 31) lor dst]. *)
+let dst_mask = (1 lsl 31) - 1
 
 exception Livelock of { rounds : int; max_rounds : int }
 
@@ -80,7 +91,10 @@ type t = {
   inboxes : inbox array;
   sent_bits : int array;
   recv_bits : int array;
-  peers : Util.Intset.t array;
+  peers : Util.Intset.t array; (* up to date only after [fold_edges] *)
+  mutable edges : int array; (* edges sent since the last fold *)
+  mutable num_edges : int;
+  fresh : int array; (* per-party entries in the log; zero between folds *)
   mutable round : int;
   mutable total_messages : int;
   mutable total_sent_bits : int; (* running sum, so [total_bits] is O(1) *)
@@ -94,15 +108,6 @@ let check_party t i name =
 
 (* ---- Sending --------------------------------------------------------- *)
 
-let add_peer t i j =
-  let s = Array.unsafe_get t.peers i in
-  if s != no_peers then Util.Intset.add s j
-  else begin
-    let s = Util.Intset.create () in
-    Util.Intset.add s j;
-    t.peers.(i) <- s
-  end
-
 let send t ~src ~dst payload =
   check_party t src "send";
   check_party t dst "send";
@@ -110,14 +115,57 @@ let send t ~src ~dst payload =
   let bits = 8 * Bytes.length payload in
   t.sent_bits.(src) <- t.sent_bits.(src) + bits;
   t.recv_bits.(dst) <- t.recv_bits.(dst) + bits;
-  add_peer t src dst;
-  add_peer t dst src;
+  let k = t.num_edges in
+  if k = Array.length t.edges then begin
+    let edges = Array.make (max 64 (2 * k)) 0 in
+    Array.blit t.edges 0 edges 0 k;
+    t.edges <- edges
+  end;
+  Array.unsafe_set t.edges k ((src lsl 31) lor dst);
+  t.num_edges <- k + 1;
   (* Metering happens at send time regardless of when (or in what order)
      the transport chooses to deliver — cost is a property of what the
      protocol said, not of the schedule. *)
   t.transport.Transport.submit ~src ~dst payload;
   t.total_sent_bits <- t.total_sent_bits + bits;
   t.total_messages <- t.total_messages + 1
+
+(* ---- Peer sets ------------------------------------------------------- *)
+
+(* [i]'s side of one logged edge.  The first time the second pass meets
+   [i], its set is sized for all [fresh.(i)] of its new entries at once
+   and the count is cleared, so later edges of [i] only insert.  A set
+   that already holds all n - 1 other parties is left alone. *)
+let add_peer t i j =
+  let most = t.num_parties - 1 in
+  let c = Array.unsafe_get t.fresh i in
+  if c > 0 then begin
+    Array.unsafe_set t.fresh i 0;
+    let s = Array.unsafe_get t.peers i in
+    if s == no_peers then Array.unsafe_set t.peers i (Util.Intset.create ~capacity:(min c most) ())
+    else Util.Intset.reserve s (min (Util.Intset.cardinal s + c) most)
+  end;
+  let s = Array.unsafe_get t.peers i in
+  if Util.Intset.cardinal s < most then Util.Intset.add s j
+
+let fold_edges t =
+  let m = t.num_edges in
+  if m > 0 then begin
+    let edges = t.edges and fresh = t.fresh in
+    for k = 0 to m - 1 do
+      let e = Array.unsafe_get edges k in
+      let src = e lsr 31 and dst = e land dst_mask in
+      Array.unsafe_set fresh src (Array.unsafe_get fresh src + 1);
+      Array.unsafe_set fresh dst (Array.unsafe_get fresh dst + 1)
+    done;
+    for k = 0 to m - 1 do
+      let e = Array.unsafe_get edges k in
+      let src = e lsr 31 and dst = e land dst_mask in
+      add_peer t src dst;
+      add_peer t dst src
+    done;
+    t.num_edges <- 0
+  end
 
 (* ---- Delivery -------------------------------------------------------- *)
 
@@ -147,6 +195,7 @@ let deliver inboxes ~src ~dst payload =
 
 let create ?backend:_ ?transport ?max_rounds num_parties =
   if num_parties <= 0 then invalid_arg "Net.create: need at least one party";
+  if num_parties > dst_mask + 1 then invalid_arg "Net.create: more than 2^31 parties";
   (match max_rounds with
   | Some m when m <= 0 -> invalid_arg "Net.create: max_rounds must be positive"
   | _ -> ());
@@ -160,6 +209,9 @@ let create ?backend:_ ?transport ?max_rounds num_parties =
     sent_bits = Array.make num_parties 0;
     recv_bits = Array.make num_parties 0;
     peers = Array.make num_parties no_peers;
+    edges = [||];
+    num_edges = 0;
+    fresh = Array.make num_parties 0;
     round = 0;
     total_messages = 0;
     total_sent_bits = 0;
@@ -176,6 +228,7 @@ let step t =
   (match t.max_rounds with
   | Some m when t.round >= m -> raise (Livelock { rounds = t.round; max_rounds = m })
   | _ -> ());
+  fold_edges t;
   (* One transport tick.  The sync transport delivers everything in
      flight in the canonical order (ascending sender id, then send
      order); the event transport releases whatever its schedule says is
@@ -322,13 +375,16 @@ let total_bits_of t parties = List.fold_left (fun acc i -> acc + bits_sent t i) 
 
 let peers t i =
   check_party t i "peers";
+  fold_edges t;
   Util.Intset.to_iset t.peers.(i)
 
 let locality t i =
   check_party t i "locality";
+  fold_edges t;
   Util.Intset.cardinal t.peers.(i)
 
 let max_locality t =
+  fold_edges t;
   Array.fold_left (fun acc s -> max acc (Util.Intset.cardinal s)) 0 t.peers
 
 let messages_sent t = t.total_messages
@@ -368,10 +424,11 @@ let live_of t i = t.inboxes.(i).live
    The compute phase only reads the shared [inboxes] array and mutates
    the inbox records of its own shard's parties (draining, resetting,
    building the per-sender index).  The shared mutations — creating an
-   inbox record (in [deliver], during [step]) and a peer set (in [send],
-   during commit) — are both sequential, and the shared [no_inbox]
-   sentinel is never written because every receive returns first on an
-   empty inbox. *)
+   inbox record (in [deliver], during [step]), logging an edge (in
+   [send], during commit) and folding the log into the peer sets (in
+   [step] and the peer queries, which a step must not call) — are all
+   sequential, and the shared [no_inbox] sentinel is never written
+   because every receive returns first on an empty inbox. *)
 
 module Party = struct
   type p = { net : t; me : int; outbox : (int * bytes) Queue.t }

@@ -20,16 +20,23 @@
     Performance contract: resident state is O(n) words plus the traffic
     parties actually exchanged, so one representation runs every n from
     the unit tests to the giant tier's 10⁶ parties.  {!send} is O(1)
-    amortized (two {!Util.Intset} insertions for the peer sets, one
-    transport submit); {!step} under the sync transport delivers in one
-    pass when the round's sends ascended by sender, as every {!run_round}
-    commit does; {!recv} is linear in the party's inbox; and
-    {!recv_from}/{!recv_one} take O(log m) plus the sender's own messages
-    in an inbox of m messages.  A party's inbox record is created on its
-    first delivery and its peer set on its first send or receipt;
-    untouched parties cost one word per per-party array.  {!peers}
-    copies the set into an {!Util.Iset} (a reporting call, not a hot
-    one).
+    amortized: counter updates, one append to an edge log (one word per
+    message) and one transport submit.  The peer sets are brought up to
+    date from the log in one fold, which sizes each touched set once for
+    all its new entries, at every {!step} (before delivery) and at every
+    peer query ({!peers}, {!locality}, {!max_locality}).  Those queries
+    therefore mutate the network: never call them inside a
+    {!run_round} compute phase.  The log holds one word per message
+    sent since the last fold, in a buffer kept from round to round (at
+    most twice the busiest round's messages).  {!step} under the sync
+    transport delivers in one pass when the round's sends ascended by
+    sender, as every {!run_round} commit does; {!recv} is linear in the
+    party's inbox; and {!recv_from}/{!recv_one} take O(log m) plus the
+    sender's own messages in an inbox of m messages.  A party's inbox record is
+    created on its first delivery and its peer set at the first fold
+    that sees it; untouched parties cost one word per per-party array.
+    {!peers} copies the set into an {!Util.Iset} (a reporting call, not
+    a hot one).
 
     Domain-safety contract: a [t] is single-owner mutable state with no
     internal locking.  Two domains must never touch the same instance;
@@ -85,7 +92,10 @@ exception Livelock of { rounds : int; max_rounds : int }
     With [~max_rounds:m] (must be positive), the [m+1]-th {!step} raises
     {!Livelock} instead of advancing, so a protocol driven into an
     unbounded loop by a fault schedule fails with a diagnosable exception
-    rather than hanging.  Default: no bound, exactly the old behavior. *)
+    rather than hanging.  Default: no bound, exactly the old behavior.
+
+    [n] must be in [\[1, 2^31\]] (the edge log packs two party ids into
+    one word); otherwise [Invalid_argument]. *)
 val create : ?backend:backend -> ?transport:Transport.t -> ?max_rounds:int -> int -> t
 
 val n : t -> int
@@ -239,7 +249,9 @@ val total_bits : t -> int
     report honest-only communication). *)
 val total_bits_of : t -> int list -> int
 
-(** [peers t i] — the set of parties [i] has sent to or received from. *)
+(** [peers t i] — the set of parties [i] has sent to or received from.
+    Like {!locality} and {!max_locality}, it first folds the edge log
+    (see the performance contract), so it mutates [t]. *)
 val peers : t -> int -> Util.Iset.t
 
 (** [locality t i] — [|peers t i|]. *)

@@ -1,16 +1,23 @@
 (* Open-addressing int hash set: power-of-two table, linear probing,
-   [-1] = empty.  Load factor is kept <= 1/2 so probe chains stay short
-   even with the cheap multiplicative hash. *)
+   [-1] = empty.  Load factor is kept <= 3/4: probe chains stay short
+   under the multiplicative hash, and a set of d elements fits a table
+   of at most 8d/3 words. *)
 
 type t = { mutable slots : int array; mutable size : int }
 
-let min_capacity = 8
+(* [fits size cap]: [size] elements respect the load bound in [cap] slots. *)
+let[@inline] fits size cap = 4 * size <= 3 * cap
 
-let rec pow2_at_least k n = if n >= k then n else pow2_at_least k (n * 2)
+(* The smallest table (a power of two, at least 8 slots) that holds [m]
+   elements within the load bound. *)
+let table_for m =
+  let cap = ref 8 in
+  while not (fits m !cap) do
+    cap := 2 * !cap
+  done;
+  !cap
 
-let create ?(capacity = min_capacity) () =
-  let cap = pow2_at_least (max min_capacity capacity) min_capacity in
-  { slots = Array.make cap (-1); size = 0 }
+let create ?(capacity = 0) () = { slots = Array.make (table_for capacity) (-1); size = 0 }
 
 (* Fibonacci hashing: multiply by 2^63/phi and keep the top bits.  Party
    ids are small and sequential, which a plain [v land mask] would pack
@@ -21,7 +28,7 @@ let[@inline] slot_of slots v =
 
 let[@inline] probe slots v =
   (* Returns the index holding [v], or the empty index where it would
-     be inserted.  The table always has empty slots (load <= 1/2), so
+     be inserted.  The table always has empty slots (load <= 3/4), so
      the scan terminates. *)
   let mask = Array.length slots - 1 in
   let i = ref (slot_of slots v) in
@@ -35,10 +42,16 @@ let[@inline] probe slots v =
 
 let mem t v = v >= 0 && Array.unsafe_get t.slots (probe t.slots v) = v
 
-let grow t =
+let rehash t cap =
   let old = t.slots in
-  t.slots <- Array.make (2 * Array.length old) (-1);
-  Array.iter (fun v -> if v >= 0 then t.slots.(probe t.slots v) <- v) old
+  let slots = Array.make cap (-1) in
+  for k = 0 to Array.length old - 1 do
+    let v = Array.unsafe_get old k in
+    if v >= 0 then Array.unsafe_set slots (probe slots v) v
+  done;
+  t.slots <- slots
+
+let reserve t m = if not (fits m (Array.length t.slots)) then rehash t (table_for m)
 
 let add t v =
   if v < 0 then invalid_arg "Intset.add: negative element";
@@ -46,7 +59,7 @@ let add t v =
   if Array.unsafe_get t.slots i <> v then begin
     t.slots.(i) <- v;
     t.size <- t.size + 1;
-    if 2 * t.size > Array.length t.slots then grow t
+    if not (fits t.size (Array.length t.slots)) then rehash t (2 * Array.length t.slots)
   end
 
 let cardinal t = t.size

@@ -11,17 +11,25 @@
     gigabytes.
 
     Membership is linear probing over a power-of-two table at load
-    factor <= 1/2; elements are stored directly, [(-1)] marks an empty
-    slot, which is why members must be [>= 0].  Not domain-safe: an
+    factor <= 3/4; elements are stored directly, [(-1)] marks an empty
+    slot, which is why members must be [>= 0].  A set of d elements
+    holds a table of at most 8d/3 words (at least 8); a caller that
+    knows how many elements are coming calls {!reserve} first, so the
+    table grows once instead of doubling its way up.  Not domain-safe: an
     instance is single-owner mutable state, like the network that holds
     it. *)
 
 type t
 
-(** [create ?capacity ()] — an empty set.  [capacity] is a size hint
-    (rounded up to a power of two, default 8); the table grows by
-    doubling regardless. *)
+(** [create ?capacity ()] — an empty set whose table already holds
+    [capacity] elements (default 0: the minimum table of 8 slots); the
+    table grows by doubling regardless. *)
 val create : ?capacity:int -> unit -> t
+
+(** [reserve t m] grows the table once, to the smallest that holds [m]
+    elements within the load bound; a no-op when it already does.  Adds
+    up to [m] elements in total then never rehash. *)
+val reserve : t -> int -> unit
 
 (** [add t v] inserts [v] ([>= 0], else [Invalid_argument]); no-op when
     already present. *)

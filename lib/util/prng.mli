@@ -58,8 +58,18 @@ val bytes : t -> int -> bytes
 (** [shuffle t arr] permutes [arr] in place (Fisher-Yates). *)
 val shuffle : t -> 'a array -> unit
 
-(** [sample_without_replacement t ~n ~k] returns [k] distinct values drawn
-    uniformly from [\[0, n)], in increasing order. Requires [0 <= k <= n]. *)
+(** [sample_array t ~n ~k] returns [k] distinct values drawn uniformly
+    from [\[0, n)], in increasing order.  Requires [0 <= k <= n].  When
+    [2k >= n] it shuffles the identity permutation of [\[0, n)] and
+    keeps a prefix, in O(n) (the prefix is sorted by marking it in an
+    n-byte map and scanning that).  Otherwise it draws with {!int} and
+    skips repeats until it holds [k] values; the draws are taken in
+    batches, each sorted in place and merged with the values held, so a
+    call costs O(k log k) expected with no hash table and no list. *)
+val sample_array : t -> n:int -> k:int -> int array
+
+(** [sample_without_replacement t ~n ~k] is {!sample_array} as a list:
+    the same values from the same draws. *)
 val sample_without_replacement : t -> n:int -> k:int -> int list
 
 (** [sample_into t ~n ~k ~scratch ~dst ~pos] writes the same [k] sorted

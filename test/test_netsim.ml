@@ -231,6 +231,9 @@ type op =
   | Recv_from of int * int (* dst, src *)
   | Recv_one of int * int (* dst, src *)
   | Peek of int
+  | Peers of int
+  | Locality of int
+  | Max_locality
 
 (* Parties are drawn mostly from the first eight, so at n = 64 inboxes
    still collect several senders and [recv_from]/[recv_one] mostly hit. *)
@@ -245,29 +248,14 @@ let gen_op n =
       (3, map2 (fun dst src -> Recv_from (dst, src)) party party);
       (2, map2 (fun dst src -> Recv_one (dst, src)) party party);
       (1, map (fun dst -> Peek dst) party);
+      (1, map (fun i -> Peers i) party);
+      (1, map (fun i -> Locality i) party);
+      (1, return Max_locality);
     ]
-
-(* A transport that delivers each step's messages in descending sender
-   order (each sender's in send order), so inboxes fill against the
-   ascending order the sync transport produces. *)
-let descending_transport () =
-  let pending = ref [] in
-  {
-    Netsim.Transport.name = "descending";
-    submit = (fun ~src ~dst payload -> pending := (src, dst, payload) :: !pending);
-    advance =
-      (fun ~deliver ->
-        let msgs = List.rev !pending in
-        pending := [];
-        List.iter
-          (fun (src, dst, p) -> deliver ~src ~dst p)
-          (List.stable_sort (fun (s1, _, _) (s2, _, _) -> compare s2 s1) msgs));
-    in_flight = (fun () -> List.length !pending);
-  }
 
 let run_ops ~descending n ops =
   let net =
-    if descending then Netsim.Net.create ~transport:(descending_transport ()) n
+    if descending then Netsim.Net.create ~transport:(Descending_transport.create ()) n
     else Netsim.Net.create n
   in
   let sender_order = if descending then fun a b -> compare b a else compare in
@@ -297,7 +285,13 @@ let run_ops ~descending n ops =
         check_eq (Netsim.Net.recv_from net ~dst ~src) (Model.recv_from m ~dst ~src)
       | Recv_one (dst, src) ->
         check_eq (Netsim.Net.recv_one net ~dst ~src) (Model.recv_one m ~dst ~src)
-      | Peek dst -> check_eq (Netsim.Net.peek net ~dst) (Model.peek m ~dst))
+      | Peek dst -> check_eq (Netsim.Net.peek net ~dst) (Model.peek m ~dst)
+      (* Peer queries between sends and steps see every send so far. *)
+      | Peers i -> check_eq (Util.Iset.to_sorted_list (Netsim.Net.peers net i)) (Model.peers m i)
+      | Locality i -> check_eq (Netsim.Net.locality net i) (List.length (Model.peers m i))
+      | Max_locality ->
+        check_eq (Netsim.Net.max_locality net)
+          (List.fold_left max 0 (List.init n (fun j -> List.length (Model.peers m j)))))
     ops;
   (* Whatever is still undrained must also agree. *)
   check_eq (Netsim.Net.active_parties net) (Model.active m);
@@ -334,6 +328,34 @@ let prop_matches_reference ~name n =
   QCheck.Test.make ~count:500 ~name
     (QCheck.make QCheck.Gen.(list_size (int_bound 160) (gen_op n)))
     (fun ops -> run_ops ~descending:false n ops && run_ops ~descending:true n ops)
+
+(* Steady traffic leaves the network's footprint unchanged: each
+   round's fold sizes a peer set for that round's new entries only, so
+   a ring whose sets hold two peers keeps its minimum tables however
+   many rounds it runs. *)
+let test_peer_sets_sized_per_round () =
+  let n = 512 in
+  let net = Netsim.Net.create n in
+  let payload = msg "r" in
+  let round () =
+    for i = 0 to n - 1 do
+      Netsim.Net.send net ~src:i ~dst:((i + 1) mod n) payload
+    done;
+    Netsim.Net.step net;
+    for i = 0 to n - 1 do
+      ignore (Netsim.Net.recv net ~dst:i)
+    done
+  in
+  for _ = 1 to 4 do
+    round ()
+  done;
+  let words () = Obj.reachable_words (Obj.repr net) in
+  let before = words () in
+  for _ = 1 to 60 do
+    round ()
+  done;
+  checki "locality" 2 (Netsim.Net.max_locality net);
+  checki "reachable words unchanged" before (words ())
 
 (* ---- Corruption ---- *)
 
@@ -429,6 +451,31 @@ let test_corruption_targeting_boundaries () =
       done)
     [ 0; 8 ]
 
+(* [is_corrupted]/[is_honest] answer from a byte mask; they must agree
+   with membership in [corrupted] for every constructor, and ids outside
+   [0, n) stay uncorrupted. *)
+let prop_corruption_mask_matches_set =
+  QCheck.Test.make ~count:300 ~name:"is_corrupted/is_honest = Iset.mem on corrupted"
+    (QCheck.make
+       QCheck.Gen.(
+         int_range 1 300 >>= fun n ->
+         quad (return n) small_nat (int_range 1 n) (list_size (int_bound n) (int_bound (n - 1)))))
+    (fun (n, seed, h, ids) ->
+      let rng = Util.Prng.create seed in
+      let agrees c =
+        let bad = Netsim.Corruption.corrupted c in
+        List.for_all
+          (fun i ->
+            let corrupt = i >= 0 && i < n && Util.Iset.mem i bad in
+            Netsim.Corruption.is_corrupted c i = corrupt
+            && Netsim.Corruption.is_honest c i = not corrupt)
+          (List.init (n + 6) (fun i -> i - 3))
+      in
+      agrees (Netsim.Corruption.none ~n)
+      && agrees (Netsim.Corruption.make ~n ~corrupted:(Util.Iset.of_list ids))
+      && agrees (Netsim.Corruption.random rng ~n ~h)
+      && agrees (Netsim.Corruption.targeting rng ~n ~h ~victim:(seed mod n)))
+
 let prop_corruption_exact_counts =
   QCheck.Test.make ~count:300 ~name:"samplers corrupt exactly n-h, victim honest"
     QCheck.(triple (int_range 2 40) (int_range 1 40) small_nat)
@@ -476,6 +523,7 @@ let () =
           Alcotest.test_case "round counting" `Quick test_rounds;
           Alcotest.test_case "snapshot diff" `Quick test_snapshot_diff;
           Alcotest.test_case "messages accumulate" `Quick test_messages_cross_rounds;
+          Alcotest.test_case "peer sets sized per round" `Quick test_peer_sets_sized_per_round;
           QCheck_alcotest.to_alcotest
             (prop_matches_reference ~name:"bucketed net ≡ list-based reference" 5);
           QCheck_alcotest.to_alcotest
@@ -498,6 +546,7 @@ let () =
           Alcotest.test_case "targeting at index boundaries" `Quick
             test_corruption_targeting_boundaries;
           QCheck_alcotest.to_alcotest prop_corruption_exact_counts;
+          QCheck_alcotest.to_alcotest prop_corruption_mask_matches_set;
           Alcotest.test_case "bad arguments" `Quick test_corruption_bad_args;
         ] );
     ]

@@ -498,6 +498,104 @@ let test_run_iter_matches_run () =
         (norm_iset_outs (Array.of_list (List.map snd ordered)) = reference))
     (all_pools ())
 
+(* ---- SparseNetwork against its list-and-sort reference ---- *)
+
+(* [run_iter] as it stood before outcomes were built by one merge:
+   senders deduplicated with [List.sort_uniq], the out-hops added to the
+   set one by one, hops sampled as lists.  Sequential path only. *)
+module Reference = struct
+  let notify_payload = Bytes.make 1 '\001'
+
+  let outcome_of_inbox ~bound ~out_hops i inbox =
+    let incoming = List.sort_uniq compare (List.map fst inbox) in
+    if List.length incoming > bound then
+      Mpc.Outcome.Abort (Mpc.Outcome.Flooded "incoming degree above 2d")
+    else
+      Mpc.Outcome.Output
+        (Array.fold_left (fun s v -> Util.Iset.add v s) (Util.Iset.of_list incoming) out_hops.(i))
+
+  let run_iter net rng params ~corruption ~(adv : Mpc.Sparse_network.adv) ~f =
+    let n = Netsim.Net.n net in
+    let d = Mpc.Params.sparse_degree params in
+    let bound = Mpc.Params.degree_bound params in
+    let out_hops =
+      Array.init n (fun i ->
+          let sample = Util.Prng.sample_without_replacement rng ~n:(n - 1) ~k:(min d (n - 1)) in
+          let a = Array.of_list sample in
+          for k = 0 to Array.length a - 1 do
+            if a.(k) >= i then a.(k) <- a.(k) + 1
+          done;
+          a)
+    in
+    for i = 0 to n - 1 do
+      if Netsim.Corruption.is_corrupted corruption i then begin
+        let extra = match adv.extra_targets with Some f -> f ~me:i | None -> [] in
+        let targets = List.sort_uniq compare (extra @ Array.to_list out_hops.(i)) in
+        List.iter
+          (fun dst ->
+            if dst <> i then begin
+              let dropped = match adv.drop_notify with Some f -> f ~me:i ~dst | None -> false in
+              if not dropped then Netsim.Net.send net ~src:i ~dst notify_payload
+            end)
+          targets
+      end
+      else Array.iter (fun dst -> Netsim.Net.send net ~src:i ~dst notify_payload) out_hops.(i)
+    done;
+    Netsim.Net.step net;
+    for i = 0 to n - 1 do
+      f i (outcome_of_inbox ~bound ~out_hops i (Netsim.Net.recv net ~dst:i))
+    done
+end
+
+(* n in [8, 300], h in [n/8, n], alpha 1 or 2; the adversary is honest,
+   floods up to three victims (sometimes naming itself), or drops a
+   pseudo-random third of its notifications. *)
+let gen_sparse_case =
+  QCheck.Gen.(
+    int_range 8 300 >>= fun n ->
+    int_range (max 1 (n / 8)) n >>= fun h ->
+    quad (return (n, h)) (int_range 1 2) (pair small_nat small_nat)
+      (pair (int_bound 2) (list_size (int_range 1 3) (int_bound (n - 1)))))
+
+let prop_sparse_matches_reference =
+  QCheck.Test.make ~count:200 ~name:"Sparse_network.run_iter = list-and-sort reference"
+    (QCheck.make gen_sparse_case)
+    (fun ((n, h), alpha, (seed, salt), (adv_kind, victims)) ->
+      let params = Mpc.Params.make ~n ~h ~lambda:8 ~alpha () in
+      let corruption = Netsim.Corruption.random (Util.Prng.create (seed + 1000)) ~n ~h in
+      let adv =
+        match adv_kind with
+        | 0 -> Mpc.Sparse_network.honest_adv
+        | 1 ->
+          { Mpc.Sparse_network.honest_adv with extra_targets = Some (fun ~me -> me :: victims) }
+        | _ ->
+          {
+            Mpc.Sparse_network.honest_adv with
+            drop_notify = Some (fun ~me ~dst -> ((me * 31) + (dst * 17) + salt) mod 3 = 0);
+          }
+      in
+      let observe run descending =
+        let net =
+          if descending then Netsim.Net.create ~transport:(Descending_transport.create ()) n
+          else Netsim.Net.create n
+        in
+        let rng = Util.Prng.create seed in
+        let seen = ref [] in
+        run net rng params ~corruption ~adv ~f:(fun i o -> seen := (i, o) :: !seen);
+        ( norm_iset_outs (Array.of_list (List.rev_map snd !seen)),
+          List.rev_map fst !seen,
+          Netsim.Net.total_bits net,
+          Netsim.Net.messages_sent net,
+          Netsim.Net.rounds net,
+          Netsim.Net.max_locality net,
+          Util.Prng.int rng 1_000_000 )
+      in
+      List.for_all
+        (fun descending ->
+          observe (fun net rng -> Mpc.Sparse_network.run_iter net rng) descending
+          = observe Reference.run_iter descending)
+        [ false; true ])
+
 let () =
   Alcotest.run "sparse_gossip"
     [
@@ -532,5 +630,6 @@ let () =
         [
           Alcotest.test_case "union-find = BFS" `Quick test_union_find_matches_bfs;
           Alcotest.test_case "run_iter = run" `Quick test_run_iter_matches_run;
+          QCheck_alcotest.to_alcotest prop_sparse_matches_reference;
         ] );
     ]

@@ -728,15 +728,70 @@ let codec_prop_views_equiv =
       let ok_write = Bytes.equal reenc (Bytes.cat b1 b2) in
       ok_contents && ok_reader && ok_decode && ok_write && Util.Codec.at_end r)
 
+(* ---- sample_array ≡ the Hashtbl/List.sort sampler ---- *)
+
+(* The sampler as it stood before [sample_array]: a shuffled prefix,
+   sorted, when [2k >= n]; otherwise rejection sampling into a hash set,
+   folded to a list and sorted. *)
+let sample_ref t ~n ~k =
+  if k = 0 then []
+  else if 2 * k >= n then begin
+    let arr = Array.init n (fun i -> i) in
+    Util.Prng.shuffle t arr;
+    Array.sub arr 0 k |> Array.to_list |> List.sort compare
+  end
+  else begin
+    let seen = Hashtbl.create (2 * k) in
+    let rec fill count =
+      if count = k then ()
+      else
+        let v = Util.Prng.int t n in
+        if Hashtbl.mem seen v then fill count
+        else begin
+          Hashtbl.add seen v ();
+          fill (count + 1)
+        end
+    in
+    fill 0;
+    Hashtbl.fold (fun v () acc -> v :: acc) seen [] |> List.sort compare
+  end
+
+(* n in [1, 2000], k in [0, n]: half the cases take the rejection path
+   (2k < n), half the shuffle. *)
+let gen_sample_size =
+  QCheck.Gen.(int_range 1 2000 >>= fun n -> map (fun k -> (n, k)) (int_bound n))
+
+let prop_sample_matches_reference =
+  QCheck.Test.make ~count:600 ~name:"sample_array/sample_without_replacement = reference sampler"
+    (QCheck.make QCheck.Gen.(pair small_nat gen_sample_size))
+    (fun (seed, (n, k)) ->
+      let r_ref = Util.Prng.create seed
+      and r_arr = Util.Prng.create seed
+      and r_list = Util.Prng.create seed in
+      let expected = sample_ref r_ref ~n ~k in
+      Array.to_list (Util.Prng.sample_array r_arr ~n ~k) = expected
+      && Util.Prng.sample_without_replacement r_list ~n ~k = expected
+      (* The same draws consumed: the next draw agrees on all three. *)
+      && (let next = Util.Prng.int r_ref 1_000_000 in
+          Util.Prng.int r_arr 1_000_000 = next && Util.Prng.int r_list 1_000_000 = next))
+
+(* k = 200,000 of n = 400,001 takes the rejection path with k near n/2:
+   an insertion that shifts the held values per draw (O(k^2), ~10^10
+   moves) would not finish. *)
+let test_sample_large_rejection () =
+  let a = Util.Prng.create 21 and r = Util.Prng.create 21 in
+  let got = Util.Prng.sample_array a ~n:400_001 ~k:200_000 in
+  let expected = sample_ref r ~n:400_001 ~k:200_000 in
+  checkb "same values" true (Array.to_list got = expected);
+  checki "same next draw" (Util.Prng.int r 1_000_000) (Util.Prng.int a 1_000_000)
+
 (* ---- sample_into ≡ sample_without_replacement ---- *)
 
 let prop_sample_into_matches_list =
   QCheck.Test.make ~name:"sample_into = sample_without_replacement (draws and result)"
     ~count:500
-    QCheck.(triple small_nat (int_bound 60) (int_bound 60))
-    (fun (seed, n, k) ->
-      let n = max n 1 in
-      let k = min k n in
+    (QCheck.make QCheck.Gen.(pair small_nat gen_sample_size))
+    (fun (seed, (n, k)) ->
       let r_list = Util.Prng.create (0x5A + seed) in
       let r_into = Util.Prng.create (0x5A + seed) in
       let expected = Util.Prng.sample_without_replacement r_list ~n ~k in
@@ -854,6 +909,29 @@ let test_intset_sequential_growth () =
     (List.for_all (fun v -> Util.Intset.mem t v) (List.init 10_000 Fun.id));
   checkb "absent stays absent" false (Util.Intset.mem t 10_000)
 
+let test_intset_reserve () =
+  (* A reserved table takes its elements without growing again; the
+     elements and their count are those of plain adds. *)
+  let size t = Obj.reachable_words (Obj.repr t) in
+  let t = Util.Intset.create () in
+  Util.Intset.add t 5;
+  Util.Intset.reserve t 100;
+  let reserved = size t in
+  for v = 0 to 99 do
+    Util.Intset.add t (v * 7919)
+  done;
+  checki "no growth after reserve" reserved (size t);
+  checki "cardinal" 101 (Util.Intset.cardinal t);
+  checkb "members" true (List.for_all (Util.Intset.mem t) (5 :: List.init 100 (fun v -> v * 7919)));
+  Util.Intset.reserve t 10;
+  checki "smaller reserve is a no-op" reserved (size t);
+  let c = Util.Intset.create ~capacity:100 () in
+  let sized = size c in
+  for v = 1 to 100 do
+    Util.Intset.add c v
+  done;
+  checki "create ~capacity holds that many" sized (size c)
+
 let prop_iset_large_ids =
   QCheck.Test.make ~count:200 ~name:"Iset: union/inter/mem at ids >> 10^5"
     (QCheck.make QCheck.Gen.(pair gen_sparse_ids gen_sparse_ids))
@@ -942,6 +1020,8 @@ let () =
           QCheck_alcotest.to_alcotest prop_prng_matches_int64_reference;
           QCheck_alcotest.to_alcotest prop_prng_int_matches_reference;
           Alcotest.test_case "int rejection pinned" `Quick test_prng_int_rejection_fires;
+          QCheck_alcotest.to_alcotest prop_sample_matches_reference;
+          Alcotest.test_case "sample k=200000 of 400001" `Quick test_sample_large_rejection;
           QCheck_alcotest.to_alcotest prop_sample_into_matches_list;
           Alcotest.test_case "sample w/o replacement" `Quick test_sample_without_replacement;
           Alcotest.test_case "sample covers all" `Quick test_sample_covers_everything;
@@ -991,6 +1071,7 @@ let () =
           QCheck_alcotest.to_alcotest prop_intset_matches_reference;
           Alcotest.test_case "intset rejects negatives" `Quick test_intset_negative_rejected;
           Alcotest.test_case "intset sequential growth" `Quick test_intset_sequential_growth;
+          Alcotest.test_case "intset reserve" `Quick test_intset_reserve;
           QCheck_alcotest.to_alcotest prop_iset_large_ids;
           QCheck_alcotest.to_alcotest prop_imap_large_keys;
         ] );
