@@ -80,19 +80,19 @@ let thm4 ?pool ?cover_size ~pke ~circuit ~inputs net rng (params : Mpc.Params.t)
 
 (* All-to-all over the full party set with uniform [len]-byte inputs
    (closed form: no observables). *)
-let a2a_spec ~variant ~n ~len =
-  Costs.(
-    Mpc.All_to_all.cost_spec ~variant ~k:(Const n)
-      ~idsum:(Const (varint_sum_ids (List.init n Fun.id)))
-      ~len:(Const len) ~n:(Const n) ~lambda:(Const 8))
-
 let a2a ?pool ?deadline ~variant ~len ~input net rng params =
   let n = Net.n net in
   let outs =
     Mpc.All_to_all.run ?pool ?deadline net rng params ~variant ~participants:(List.init n Fun.id)
       ~input ~corruption:(honest n) ~adv:Mpc.All_to_all.honest_adv
   in
-  (outs, a2a_spec ~variant ~n ~len, Costs.env [])
+  let spec =
+    Costs.(
+      Mpc.All_to_all.cost_spec ~variant ~k:(Const n)
+        ~idsum:(Const (varint_sum_ids (List.init n Fun.id)))
+        ~len:(Const len) ~n:(Const n) ~lambda:(Const 8))
+  in
+  (outs, spec, Costs.env [])
 
 let committee ?deadline ~corruption net rng params =
   let obs = Costs.Obs.create () in
@@ -250,7 +250,7 @@ let pipeline_row ~experiment run series ctx (n, h, seed) =
       check net spec env;
       Net.max_locality net)
 
-(* Algorithm 3: every E1 tier's row and dist-serve's "bench.e1" job. *)
+(* Algorithm 3: every E1 tier's row. *)
 let e1_row =
   pipeline_row ~experiment:"E1" (fun ctx ~pke ~circuit ~inputs net rng (n, h) ->
       let outs, spec, env =
@@ -805,7 +805,7 @@ let e8 =
 let variant_name = function Mpc.All_to_all.Naive -> "naive" | Fingerprinted -> "fingerprinted"
 
 (* One honest all-to-all over all n parties with [len]-byte inputs: the
-   row of every E9 tier and of dist-serve's "bench.e9fp" job. *)
+   row of every E9 tier. *)
 let a2a_row ~len ctx (variant, n) =
   snd
     (measure ctx ~experiment:"E9"
@@ -1323,150 +1323,6 @@ let soak () =
   { runs = []; failed }
 
 (* ------------------------------------------------------------------ *)
-(* dist-serve — multi-process session serving (--workers N)            *)
-(* ------------------------------------------------------------------ *)
-
-(* The worker fleet, created by main BEFORE the domain pool (forking a
-   multi-domain OCaml runtime is undefined) and only when
-   [--only dist-serve --workers N>0] asks for it. *)
-let dist_engine : Netsim.Dist.t option ref = ref None
-let dist_workers = ref 0
-let dist_crash = ref None (* --crash-schedule S *)
-
-(* Domains available to each worker's inner pool: the --jobs budget
-   split across the fleet.  Set before the fork so children inherit it;
-   each worker lazily creates (and caches) its own pool — domains must
-   never exist in the pre-fork image. *)
-let dist_inner_jobs = ref 0
-let dist_worker_pool : (int * Util.Pool.t) option ref = ref None
-
-let dist_job_pool () =
-  let inner = !dist_inner_jobs in
-  if inner <= 0 then None
-  else
-    match !dist_worker_pool with
-    | Some (d, p) when d = inner -> Some p
-    | _ ->
-      let p = Util.Pool.create ~num_domains:inner () in
-      dist_worker_pool := Some (inner, p);
-      Some p
-
-(* The one-shot jobs: the exact huge-tier rows.  A result frame is the
-   JSON of the run record (its peak_rss_mb measured in the worker that
-   ran it) plus the job's failed spec checks. *)
-let dist_jobs =
-  [
-    ("bench.e1", fun ctx n -> snd (e1_row "n-sweep h=n/4" ctx (n, n / 4, n)));
-    ("bench.e9fp", fun ctx n -> a2a_row ~len:64 ctx (Mpc.All_to_all.Fingerprinted, n));
-  ]
-
-let () =
-  List.iter
-    (fun (name, row) ->
-      Netsim.Dist.register_job name (fun args ->
-          let ctx = new_ctx ~pool:(dist_job_pool ()) Huge in
-          let run = row ctx (Util.Codec.decode Util.Codec.read_varint args) in
-          Analysis.Json.(Obj [ ("failed", Int ctx.failed); ("run", Io.run_to_json run) ])
-          |> Analysis.Json.to_string |> Bytes.of_string))
-    dist_jobs;
-  Mpc.Dist_programs.register ()
-
-let decode_job_result b =
-  let j = Analysis.Json.parse (Bytes.to_string b) in
-  let get k = Option.get (Analysis.Json.member k j) in
-  (Io.run_of_json (get "run"), Option.get (Analysis.Json.get_int (get "failed")))
-
-(* A --crash-schedule derives which worker dies, and when, from the same
-   keyed Faults machinery the soak runner uses: crash stages 1/2 map to
-   the scatter of rounds 1/2 of the first session. *)
-let crash_point workers s =
-  let faults =
-    Netsim.Faults.make (prng 0xD157) ~schedule:s ~n:workers
-      { Netsim.Faults.honest with crash = 1.0; crash_stage = 2 }
-  in
-  let w =
-    Option.value ~default:0
-      (List.find_opt
-         (fun w -> Netsim.Faults.crashed faults ~me:w ~stage:2)
-         (List.init workers Fun.id))
-  in
-  let r = if Netsim.Faults.crashed faults ~me:w ~stage:1 then 1 else 2 in
-  Printf.printf
-    "crash schedule %d: worker %d dies on the round-%d scatter of the first session\n\
-     and while running its first job; both recover by spare promotion + replay.\n\n"
-    s w r;
-  (w, r)
-
-let dist_serve () =
-  let workers = !dist_workers in
-  section
-    (if workers > 0 then
-       Printf.sprintf "dist-serve  sessions over %d worker process%s" workers
-         (if workers = 1 then "" else "es")
-     else "dist-serve  in-process reference (--workers 0)");
-  print_string
-    "naive all-to-all sessions shard their parties over the fleet via\n\
-     Dist.run_program (gathered sends replay through the in-process\n\
-     simulator in canonical order, so accounting is byte-identical at any\n\
-     --workers count), and the huge-tier E1/E9 rows run as jobs over the\n\
-     same fleet.  --diff against a --workers 0 report gates the identity.\n\n";
-  let crash =
-    match !dist_crash with Some s when workers > 0 -> Some (crash_point workers s) | _ -> None
-  in
-  let ctx = new_ctx Huge in
-  let serve_row i n =
-    snd
-      (measure ctx ~experiment:"E9" ~series:"naive 64B" ~n ~h:(n / 2) (fun check ->
-           let args = Mpc.Dist_programs.encode_args ~len:64 ~info:"e9" in
-           let net = Net.create n in
-           let crash = if i = 0 then crash else None in
-           let verdicts =
-             match !dist_engine with
-             | Some t -> Netsim.Dist.run_program ?crash t ~name:"a2a.naive" ~n ~args ~net
-             | None -> Netsim.Dist.run_local ~name:"a2a.naive" ~n ~args ~net
-           in
-           Array.iteri
-             (fun i v ->
-               if Util.Codec.read_varint (Util.Codec.reader v) <> 1 then
-                 failwith (Printf.sprintf "dist-serve: party %d aborted in an honest session" i))
-             verdicts;
-           check net (a2a_spec ~variant:Mpc.All_to_all.Naive ~n ~len:64) (Costs.env [])))
-  in
-  let session_rows = List.mapi serve_row (pick ~full:[ 64; 128 ] ~reduced:[ 64 ]) in
-  let job_specs =
-    List.map (fun n -> ("bench.e1", n)) (pick ~full:[ 512; 1024; 2048 ] ~reduced:[ 512 ])
-    @ List.map (fun n -> ("bench.e9fp", n)) (pick ~full:[ 256; 512; 1024; 2048 ] ~reduced:[ 1024 ])
-  in
-  let job_rows, job_failed =
-    match !dist_engine with
-    | Some t ->
-      let jobs =
-        List.map (fun (name, n) -> (name, Util.Codec.encode Util.Codec.write_varint n)) job_specs
-      in
-      let crash = Option.map (fun (w, _) -> w mod List.length jobs) crash in
-      let results = List.map decode_job_result (Netsim.Dist.run_jobs ?crash t jobs) in
-      (List.map fst results, List.fold_left (fun a (_, f) -> a + f) 0 results)
-    | None -> (List.map (fun (name, n) -> (List.assoc name dist_jobs) ctx n) job_specs, 0)
-  in
-  let rows = session_rows @ job_rows in
-  let mb = function Some f -> Printf.sprintf "%.0f" f | None -> "-" in
-  table ~title:"served rows (session + job)"
-    ~columns:[ "experiment"; "series"; "n"; "bits"; "wall ms"; "rss MB" ]
-    (fun (r : Io.run) ->
-      [ r.experiment; r.series; string_of_int r.n; fmt_bits r.bits; wall r; mb r.peak_rss_mb ])
-    rows;
-  Option.iter
-    (fun t ->
-      table ~title:"worker fleet"
-        ~columns:[ "worker"; "pid"; "sessions"; "jobs"; "respawns"; "peak_rss_mb" ]
-        (fun (i, (s : Netsim.Dist.stat)) ->
-          [ string_of_int i; string_of_int s.pid; string_of_int s.sessions;
-            string_of_int s.jobs_run; string_of_int s.respawns; mb s.peak_rss_mb ])
-        (List.mapi (fun i s -> (i, s)) (Array.to_list (Netsim.Dist.stats t))))
-    !dist_engine;
-  { runs = rows; failed = ctx.failed + job_failed }
-
-(* ------------------------------------------------------------------ *)
 
 let registry =
   let exp ?(opt_in = false) id desc body = { id; desc; opt_in; body } in
@@ -1503,11 +1359,4 @@ let registry =
           (List.length catalog);
         "closed-form extrapolation table at n = 10^4..10^6" ]
       cost_audit;
-    mode ~opt_in:true "dist-serve"
-      "sessions + jobs over sharded worker processes (--workers N, --crash-schedule S)"
-      [ "sessions: naive a2a n in {64,128} via Dist.run_program (--quick: {64})";
-        "jobs: E1 n in {512..2048}, E9 fp n in {256..2048} over the fleet (--quick: 512 / 1024)";
-        "--workers N shards over N processes (0 = in-process reference);";
-        "--crash-schedule S kills one worker mid-round + mid-job, recovered by replay" ]
-      dist_serve;
   ]

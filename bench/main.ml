@@ -151,15 +151,6 @@ let () =
         ("--seed", Arg.Int (some base_seed), "S replay seed for every experiment RNG and PKE");
         ("--schedules", Arg.Int (some Experiments.soak_schedules), "K soak: schedules to sweep");
         ("--schedule", Arg.Int (some Experiments.soak_schedule), "K soak: replay one schedule");
-        ( "--workers",
-          Arg.Int
-            (fun w ->
-              if w < 0 then bad "--workers expects a non-negative integer, got %d" w;
-              Experiments.dist_workers := w),
-          "N dist-serve: worker processes (0 = in-process reference)" );
-        ( "--crash-schedule",
-          Arg.Int (some Experiments.dist_crash),
-          "S dist-serve: kill one worker mid-round and mid-job" );
       ]
   in
   (try
@@ -209,14 +200,6 @@ let () =
           exit 1
         | sel -> sel)
     in
-    (* Fork the dist fleet BEFORE any domain exists — forking a
-       multi-domain OCaml runtime is undefined behavior.  Each worker gets
-       its share of the --jobs budget for a worker-local inner pool
-       (created lazily, post-fork). *)
-    if !Experiments.dist_workers > 0 && !only = Some "dist-serve" then begin
-      Experiments.dist_inner_jobs := max 0 ((!jobs - 1) / !Experiments.dist_workers);
-      Experiments.dist_engine := Some (Netsim.Dist.create ~workers:!Experiments.dist_workers ())
-    end;
     if !jobs > 1 then pool := Some (Util.Pool.create ~num_domains:(!jobs - 1) ());
     let t0 = Unix.gettimeofday () in
     let results =
@@ -231,7 +214,6 @@ let () =
     in
     let total_wall_ms = 1000.0 *. (Unix.gettimeofday () -. t0) in
     Option.iter Util.Pool.shutdown !pool;
-    Option.iter Netsim.Dist.shutdown !Experiments.dist_engine;
     Printf.printf "\nall experiments done in %.1fs (jobs=%d)%s\n" (total_wall_ms /. 1000.0) !jobs
       (match (!tier, !quick) with
       | Huge, true -> " (huge smoke tier)"

@@ -2,8 +2,8 @@
 
    Every experiment is one [experiment] record: an id, a one-line
    description, and either blocks of sweeps or a free-form mode (the
-   bechamel micro-suites, soak, cost-audit, dist-serve).  A block belongs
-   to one tier, and the tier decides how its points run:
+   bechamel micro-suites, soak, cost-audit).  A block belongs to one
+   tier, and the tier decides how its points run:
 
    - [Base] (the default full/--quick sweep) and [Async] (the --async
      extra rows) fan their points out over the domain pool.  Each point
@@ -81,7 +81,7 @@ type ctx = {
   mutable failed : int;
 }
 
-let new_ctx ?(pool = !pool) tier = { tier; pool; runs = []; failed = 0 }
+let new_ctx tier = { tier; pool = !pool; runs = []; failed = 0 }
 
 (* A network of [n] parties on the tier's transport; [seed] keys the
    async delivery schedule. *)

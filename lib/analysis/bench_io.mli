@@ -67,14 +67,6 @@ type report = {
   runs : run list;
 }
 
-(** One run record as a JSON object (optional keys only when present);
-    {!run_of_json} inverts it.  The dist-serve job frames carry runs in
-    this form. *)
-val run_to_json : run -> Json.t
-
-(** Raises [Failure] on a missing or malformed required field. *)
-val run_of_json : Json.t -> run
-
 val report_to_json : report -> Json.t
 
 (** Raises [Failure] on schema mismatch or malformed fields. *)

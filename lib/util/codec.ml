@@ -26,11 +26,6 @@ let write_varint w v =
   done;
   Buffer.add_char w (Char.unsafe_chr !v)
 
-let write_int64 w v =
-  for i = 0 to 7 do
-    Buffer.add_char w (Char.chr (Int64.to_int (Int64.shift_right_logical v (8 * i)) land 0xFF))
-  done
-
 let write_bool w b = Buffer.add_char w (if b then '\001' else '\000')
 
 let write_byte w v =
@@ -86,9 +81,9 @@ let at_end r = r.pos >= r.limit
 let pos r = r.pos
 
 (* Every decode error names the failing offset and, where a length was
-   involved, the expected vs available byte counts — framed socket
-   traffic (Netsim.Wire) surfaces these messages verbatim, and "which
-   offset of which frame" is the whole diagnosis. *)
+   involved, the expected vs available byte counts: for a truncated or
+   hostile message, "which offset of which message" is the whole
+   diagnosis. *)
 let need r k =
   if k < 0 then
     raise (Decode_error (Printf.sprintf "negative length %d at offset %d" k r.pos));
@@ -123,16 +118,6 @@ let read_varint r =
     if b land 0x80 = 0 then more := false else shift := !shift + 7
   done;
   !acc
-
-let read_int64 r =
-  need r 8;
-  let v = ref 0L in
-  for i = 7 downto 0 do
-    v := Int64.logor (Int64.shift_left !v 8)
-           (Int64.of_int (Char.code (Bytes.get r.data (r.pos + i))))
-  done;
-  r.pos <- r.pos + 8;
-  !v
 
 let read_bool r =
   match read_byte r with

@@ -36,7 +36,6 @@ val encode_into : writer -> (writer -> 'a -> unit) -> 'a -> bytes
     {!varint_size}). *)
 val write_varint : writer -> int -> unit
 
-val write_int64 : writer -> int64 -> unit
 val write_bool : writer -> bool -> unit
 val write_byte : writer -> int -> unit
 val write_bytes : writer -> bytes -> unit
@@ -57,8 +56,8 @@ type reader
 (** Raised on malformed input.  The message always names the failing
     absolute offset (within the reader's underlying buffer), and — when a
     length was involved — the expected vs available byte counts and the
-    window end, so a bad frame on a socket can be diagnosed from the
-    message alone. *)
+    window end, so a malformed message can be diagnosed from the error
+    alone. *)
 exception Decode_error of string
 
 val reader : bytes -> reader
@@ -75,8 +74,8 @@ val of_sub : bytes -> pos:int -> len:int -> reader
 val at_end : reader -> bool
 
 (** Current absolute offset within the underlying buffer — the same
-    offset {!Decode_error} messages report.  Framing layers use it to
-    count trailing bytes without copying the frame out. *)
+    offset {!Decode_error} messages report.  Subtracting two positions
+    counts the bytes a decoder consumed without copying them out. *)
 val pos : reader -> int
 
 (** [read_varint r] reads one {!write_varint} encoding.  A varint whose
@@ -84,7 +83,6 @@ val pos : reader -> int
     {!Decode_error} before a tenth byte is read. *)
 val read_varint : reader -> int
 
-val read_int64 : reader -> int64
 val read_bool : reader -> bool
 val read_byte : reader -> int
 val read_bytes : reader -> bytes

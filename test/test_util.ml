@@ -290,13 +290,6 @@ let test_codec_varint_size () =
   checki "2 bytes" 2 (Util.Codec.varint_size 16383);
   checki "3 bytes" 3 (Util.Codec.varint_size 16384)
 
-let test_codec_int64 () =
-  List.iter
-    (fun v ->
-      let b = Util.Codec.encode (fun w -> Util.Codec.write_int64 w) v in
-      check Alcotest.int64 "int64" v (Util.Codec.decode (fun r -> Util.Codec.read_int64 r) b))
-    [ 0L; 1L; -1L; Int64.max_int; Int64.min_int; 0xDEADBEEFL ]
-
 let test_codec_compound () =
   let value = ([ (1, "a"); (2, "bb"); (300, "") ], Some (Bytes.of_string "xyz")) in
   let enc w (lst, opt) =
@@ -331,8 +324,7 @@ let test_codec_trailing_bytes_rejected () =
       ignore (Util.Codec.decode (fun r -> Util.Codec.read_byte r) b))
 
 (* Decode errors carry the failing offset and the expected/actual byte
-   counts — the contract that makes framed socket traffic (Netsim.Wire)
-   debuggable from the message alone. *)
+   counts, so a malformed message is debuggable from the error alone. *)
 let test_codec_error_offsets () =
   let msg f =
     try
@@ -576,7 +568,6 @@ let test_kernels_allocation_free () =
    embedded in junk) must agree, byte-for-byte and error-for-error. *)
 type probe = {
   p_varint : int;
-  p_int64 : int64;
   p_bool : bool;
   p_byte : int;
   p_bytes : bytes;
@@ -590,7 +581,6 @@ type probe = {
 
 let write_probe w p =
   Util.Codec.write_varint w p.p_varint;
-  Util.Codec.write_int64 w p.p_int64;
   Util.Codec.write_bool w p.p_bool;
   Util.Codec.write_byte w p.p_byte;
   Util.Codec.write_bytes w p.p_bytes;
@@ -604,7 +594,6 @@ let write_probe w p =
 
 let read_probe r =
   let p_varint = Util.Codec.read_varint r in
-  let p_int64 = Util.Codec.read_int64 r in
   let p_bool = Util.Codec.read_bool r in
   let p_byte = Util.Codec.read_byte r in
   let p_bytes = Util.Codec.read_bytes r in
@@ -614,15 +603,14 @@ let read_probe r =
   let p_array = Util.Codec.read_array r Util.Codec.read_bool in
   let p_pair = Util.Codec.read_pair r Util.Codec.read_varint Util.Codec.read_string in
   let p_option = Util.Codec.read_option r Util.Codec.read_bytes in
-  { p_varint; p_int64; p_bool; p_byte; p_bytes; p_raw; p_string; p_list; p_array; p_pair; p_option }
+  { p_varint; p_bool; p_byte; p_bytes; p_raw; p_string; p_list; p_array; p_pair; p_option }
 
 let probe_gen =
   QCheck.Gen.(
     let bytes_gen = map Bytes.of_string (string_size (0 -- 40)) in
     map
-      (fun ((v, i64, b, by), (bs, raw, s, l), (arr, pr, opt)) ->
+      (fun ((v, b, by), (bs, raw, s, l), (arr, pr, opt)) ->
         { p_varint = v;
-          p_int64 = i64;
           p_bool = b;
           p_byte = by;
           p_bytes = bs;
@@ -634,7 +622,7 @@ let probe_gen =
           p_option = opt
         })
       (triple
-         (quad int int64 bool (0 -- 255))
+         (triple int bool (0 -- 255))
          (quad bytes_gen bytes_gen (string_size (0 -- 30)) (list_size (0 -- 20) int))
          (triple (list_size (0 -- 20) bool) (pair int (string_size (0 -- 10)))
             (option bytes_gen))))
@@ -855,7 +843,7 @@ let test_stats_histogram () =
   checki "bins" 2 (List.length h);
   checki "total count" 5 (List.fold_left (fun a (_, c) -> a + c) 0 h)
 
-(* ---- Iset / Imap / Intset ---- *)
+(* ---- Iset / Intset ---- *)
 
 (* Ids spanning the whole usable range: dense protocol-scale ids, giant-
    tier party ids (10^5..10^6), and near-max outliers.  The network
@@ -943,25 +931,9 @@ let prop_iset_large_ids =
       && (let l = Util.Iset.to_sorted_list u in
           l = List.sort_uniq compare (a @ b)))
 
-let prop_imap_large_keys =
-  QCheck.Test.make ~count:200 ~name:"Imap: add_multi/find_list at keys >> 10^5"
-    (QCheck.make QCheck.Gen.(list_size (int_bound 60) (pair (oneofl [ 3; 100_001; 999_983; 1 lsl 50 ]) small_int)))
-    (fun kvs ->
-      let m = List.fold_left (fun m (k, v) -> Util.Imap.add_multi k v m) Util.Imap.empty kvs in
-      List.for_all
-        (fun k ->
-          Util.Imap.find_list k m
-          = List.rev (List.filter_map (fun (k', v) -> if k' = k then Some v else None) kvs))
-        [ 3; 100_001; 999_983; 1 lsl 50; 7 ])
-
 let test_iset_range () =
   check Alcotest.(list int) "range" [ 2; 3; 4 ] (Util.Iset.to_sorted_list (Util.Iset.range 2 4));
   checkb "empty range" true (Util.Iset.is_empty (Util.Iset.range 4 2))
-
-let test_imap_multi () =
-  let m = Util.Imap.empty |> Util.Imap.add_multi 1 "a" |> Util.Imap.add_multi 1 "b" in
-  check Alcotest.(list string) "multi" [ "b"; "a" ] (Util.Imap.find_list 1 m);
-  check Alcotest.(list string) "missing" [] (Util.Imap.find_list 2 m)
 
 (* ---- Pool lifecycle (the scheduling semantics live in test_pool.ml) ---- *)
 
@@ -1032,7 +1004,6 @@ let () =
         [
           Alcotest.test_case "varint roundtrip" `Quick test_codec_varint_roundtrip;
           Alcotest.test_case "varint size" `Quick test_codec_varint_size;
-          Alcotest.test_case "int64 roundtrip" `Quick test_codec_int64;
           Alcotest.test_case "compound structures" `Quick test_codec_compound;
           Alcotest.test_case "trailing bytes rejected" `Quick test_codec_trailing_bytes_rejected;
           Alcotest.test_case "underflow rejected" `Quick test_codec_underflow_rejected;
@@ -1067,12 +1038,10 @@ let () =
       ( "collections",
         [
           Alcotest.test_case "iset range" `Quick test_iset_range;
-          Alcotest.test_case "imap multi" `Quick test_imap_multi;
           QCheck_alcotest.to_alcotest prop_intset_matches_reference;
           Alcotest.test_case "intset rejects negatives" `Quick test_intset_negative_rejected;
           Alcotest.test_case "intset sequential growth" `Quick test_intset_sequential_growth;
           Alcotest.test_case "intset reserve" `Quick test_intset_reserve;
           QCheck_alcotest.to_alcotest prop_iset_large_ids;
-          QCheck_alcotest.to_alcotest prop_imap_large_keys;
         ] );
     ]
