@@ -113,6 +113,25 @@ let par_positions pool ~n ~init body =
       body st pos
     done
 
+(* Round-1 encodings of honest messages, keyed by selection bitmask. *)
+module Sel_table = Hashtbl.Make (struct
+  type t = int
+
+  let equal = Int.equal
+  let hash = Hashtbl.hash
+end)
+
+(* One chunk's round-1 scratch: a reusable writer, the sampler's
+   permutation and selection buffers, and the encodings cached for the
+   residue table [owner] (see [pairwise]). *)
+type round1_scratch = {
+  writer : Util.Codec.writer;
+  perm : int array;
+  sel : int array;
+  mutable owner : int array;
+  encoded : bytes Sel_table.t;
+}
+
 let pairwise ?pool ?deadline net rng params ~members ~value ~corruption ~adv =
   let members_arr = Array.of_list members in
   (* Callers often encode large views in [value]; evaluate it once per
@@ -177,16 +196,17 @@ let pairwise ?pool ?deadline net rng params ~members ~value ~corruption ~adv =
   let payloads = Array.make npairs Bytes.empty in
   (* Selections are remembered across the two rounds: [Prng.derive] reads
      the parent without advancing it and nothing draws from [rng] between
-     the rounds, so the round-2 recompute was a pure duplicate — caching
-     it halves the per-pair derive+shuffle work with a bit-identical
-     transcript.  Every selected index is < pool_size = 2t, which fits a
-     byte whenever pool_size <= 256 (any non-degenerate message length),
-     so the cache is one packed byte per selection — Θ(k²t) bytes, not
-     boxed-int words; page faults on fresh heap are the dominant kernel
-     cost at k = 2048.  In the t > 128 corner the cache is skipped and
-     round 2 re-derives the pair's substream — a pure function of
-     (seed, key), so the transcript is unchanged either way.  Pool jobs
-     write disjoint slices (the Util.Pool discipline). *)
+     the rounds, so a round-2 recompute would be a pure duplicate — a
+     round-2 check that needs the selection reloads it instead, with a
+     bit-identical transcript.  Every selected index is < pool_size = 2t,
+     which fits a byte whenever pool_size <= 256 (any non-degenerate
+     message length), so the store is one packed byte per selection —
+     Θ(k²t) bytes, not boxed-int words; page faults on fresh heap are
+     the dominant kernel cost at k = 2048.  In the t > 128 corner the
+     store is skipped and round 2 re-derives the pair's substream — a
+     pure function of (seed, key), so the transcript is unchanged
+     either way.  Pool jobs write disjoint slices (the Util.Pool
+     discipline). *)
   let sel_store = if pool_size <= 256 then Some (Bytes.create (npairs * t)) else None in
   (* The pair's substream is keyed by the ordered pair of party ids — a
      pure function of the parent stream position and the key, so jobs can
@@ -195,19 +215,58 @@ let pairwise ?pool ?deadline net rng params ~members ~value ~corruption ~adv =
      reusable [sel] scratch: the same draws as the list-returning
      sampler, none of its per-pair array, list and polymorphic-sort
      churn. *)
-  let pair_scratch () =
-    (Util.Codec.writer (), Array.make pool_size 0, Array.make t 0)
-  in
   let select_pair ~perm ~sel i j =
     let child = Util.Prng.derive rng ~key:((i * net_n) + j) in
     Util.Prng.sample_into child ~n:pool_size ~k:t ~scratch:perm ~dst:sel ~pos:0
   in
-  par_positions pool ~n:npairs ~init:pair_scratch
-    (fun (scratch, perm, sel) pos ->
+  (* An honest message — [Fingerprint.encode]'s exact wire layout, a
+     varint array of the selected primes then one of the sender's
+     residues — is a function of the sender's residue table and the
+     pair's selection alone, and selections repeat: an honest a2a-fp
+     round at n = 512 sends 130,816 messages that take 3,432 distinct
+     values (every 7-subset of 14 primes).  [sel] is sorted, so a
+     selection is its set, and while [pool_size <= 62] the set packs
+     into one int bitmask.  Each chunk then keeps its encodings by
+     bitmask for the table of the sender it is on ([owner]), and every
+     pair with a cached selection sends the very same bytes.  Pairs run
+     sender-major, and a residue-table group is a run of consecutive
+     members, so a chunk meets each group in one run: clearing the cache
+     when the table changes gives one cache per group.  Above 62 pool
+     primes each pair encodes its own message, as before.  The cache is
+     chunk scratch, owned by one domain (the Util.Pool discipline);
+     shared bytes are safe because delivered payloads are read-only. *)
+  let cacheable = pool_size <= 62 in
+  (* Streamed straight from the CRS tables — no fp record, no
+     per-selection arrays — and byte-identical to the record path, so
+     the transcript (and the bits accounting derived from it) cannot
+     move. *)
+  let encode_honest w res sel =
+    Util.Codec.reset w;
+    Util.Codec.write_varint w t;
+    for s = 0 to t - 1 do
+      Util.Codec.write_varint w crs_primes.(sel.(s))
+    done;
+    Util.Codec.write_varint w t;
+    for s = 0 to t - 1 do
+      Util.Codec.write_varint w res.(sel.(s))
+    done;
+    Util.Codec.contents w
+  in
+  let round1_scratch () =
+    { writer = Util.Codec.writer ();
+      perm = Array.make pool_size 0;
+      sel = Array.make t 0;
+      owner = [||];
+      encoded = Sel_table.create (if cacheable then 64 else 1)
+    }
+  in
+  par_positions pool ~n:npairs ~init:round1_scratch
+    (fun sc pos ->
       let code = pairs.(pos) in
       let idx = code / k and jdx = code mod k in
       let i = members_arr.(idx) and j = members_arr.(jdx) in
-      select_pair ~perm ~sel i j;
+      let sel = sc.sel in
+      select_pair ~perm:sc.perm ~sel i j;
       (match sel_store with
       | Some store ->
         let off = pos * t in
@@ -215,35 +274,35 @@ let pairwise ?pool ?deadline net rng params ~members ~value ~corruption ~adv =
           Bytes.unsafe_set store (off + s) (Char.unsafe_chr sel.(s))
         done
       | None -> ());
-      match adv.tamper_fp with
-      | Some f when is_corrupt i ->
-        (* Tamper path: materialize the record so the adversary can mangle
-           it, then encode through the chunk's scratch writer. *)
-        let fp =
-          { Crypto.Fingerprint.primes = Array.map (fun s -> crs_primes.(s)) sel;
-            residues = Array.map (fun s -> member_residues.(idx).(s)) sel
-          }
-        in
-        let fp = f ~me:i ~dst:j fp in
-        payloads.(pos) <- Util.Codec.encode_into scratch Crypto.Fingerprint.encode fp
-      | _ ->
-        (* Honest fast path: stream [Fingerprint.encode]'s exact wire
-           layout (varint array of primes, varint array of residues)
-           straight from the CRS tables — no fp record, no per-selection
-           arrays, no per-pair Buffer.  Byte-identical to the record
-           path, so the transcript (and the bits accounting derived from
-           it) cannot move. *)
-        Util.Codec.reset scratch;
-        let res = member_residues.(idx) in
-        Util.Codec.write_varint scratch t;
-        for s = 0 to t - 1 do
-          Util.Codec.write_varint scratch crs_primes.(sel.(s))
-        done;
-        Util.Codec.write_varint scratch t;
-        for s = 0 to t - 1 do
-          Util.Codec.write_varint scratch res.(sel.(s))
-        done;
-        payloads.(pos) <- Util.Codec.contents scratch);
+      let res = member_residues.(idx) in
+      payloads.(pos) <-
+        (match adv.tamper_fp with
+        | Some f when is_corrupt i ->
+          (* Tamper path: materialize the record so the adversary can
+             mangle it, then encode through the chunk's scratch writer.
+             It neither reads nor fills the cache. *)
+          let fp =
+            { Crypto.Fingerprint.primes = Array.map (fun s -> crs_primes.(s)) sel;
+              residues = Array.map (fun s -> res.(s)) sel
+            }
+          in
+          Util.Codec.encode_into sc.writer Crypto.Fingerprint.encode (f ~me:i ~dst:j fp)
+        | _ when not cacheable -> encode_honest sc.writer res sel
+        | _ -> (
+          if sc.owner != res then begin
+            sc.owner <- res;
+            Sel_table.clear sc.encoded
+          end;
+          let mask = ref 0 in
+          for s = 0 to t - 1 do
+            mask := !mask lor (1 lsl sel.(s))
+          done;
+          match Sel_table.find sc.encoded !mask with
+          | b -> b
+          | exception Not_found ->
+            let b = encode_honest sc.writer res sel in
+            Sel_table.add sc.encoded !mask b;
+            b)));
   for pos = 0 to npairs - 1 do
     let code = pairs.(pos) in
     Netsim.Net.send net ~src:members_arr.(code / k) ~dst:members_arr.(code mod k)
@@ -293,7 +352,7 @@ let pairwise ?pool ?deadline net rng params ~members ~value ~corruption ~adv =
     | exception Util.Codec.Decode_error _ -> false
   in
   (* Refill [sel] with pair [pos]'s selection: unpacked from the byte
-     store, or re-derived in the corner where it wasn't cached. *)
+     store, or re-derived in the corner where it wasn't stored. *)
   let reload_selection ~perm ~sel pos i j =
     match sel_store with
     | Some store ->
@@ -303,27 +362,44 @@ let pairwise ?pool ?deadline net rng params ~members ~value ~corruption ~adv =
       done
     | None -> select_pair ~perm ~sel i j
   in
-  par_positions pool ~n:npairs ~init:pair_scratch
-    (fun (_, perm, sel) pos ->
+  (* Byte equality first: when the pair's sender took the honest path
+     and shares the receiver's residue table, the receiver's expected
+     message is exactly the pair's round-1 payload — the same object,
+     on the sync transport.  The honest encoding is canonical, so
+     [verify_fast] accepts it too, and accepting byte-equal bytes
+     without a decode is exact.  A tampered payload is never the
+     reference: it is not what the receiver expects, and matching it
+     would accept what [verify_fast] rejects. *)
+  let sends_honestly i =
+    match adv.tamper_fp with Some _ -> not (is_corrupt i) | None -> true
+  in
+  let round2_scratch () = (Array.make pool_size 0, Array.make t 0) in
+  par_positions pool ~n:npairs ~init:round2_scratch
+    (fun (perm, sel) pos ->
       let code = pairs.(pos) in
-      let jdx = code mod k in
-      let i = members_arr.(code / k) and j = members_arr.(jdx) in
-      reload_selection ~perm ~sel pos i j;
+      let idx = code / k and jdx = code mod k in
+      let i = members_arr.(idx) and j = members_arr.(jdx) in
       let verdict =
         match incoming.(pos) with
         | Some b ->
           let res = member_residues.(jdx) in
-          verify_fast b sel res
-          || (match decode_fp b with
-             | Some fp -> (
-               (* The expected primes: the pair's cached selection.  Same
-                  primes: compare residues directly; different primes (a
-                  tampered message): fall back to recompute. *)
-               let expected = Array.map (fun s -> crs_primes.(s)) sel in
-               if fp.Crypto.Fingerprint.primes = expected then
-                 fp.Crypto.Fingerprint.residues = Array.map (fun s -> res.(s)) sel
-               else Crypto.Fingerprint.check fp values.(jdx))
-             | None -> false)
+          let sent = payloads.(pos) in
+          (member_residues.(idx) == res && sends_honestly i
+          && (b == sent || Bytes.equal b sent))
+          || begin
+            reload_selection ~perm ~sel pos i j;
+            verify_fast b sel res
+            || (match decode_fp b with
+               | Some fp -> (
+                 (* The expected primes: the pair's cached selection.  Same
+                    primes: compare residues directly; different primes (a
+                    tampered message): fall back to recompute. *)
+                 let expected = Array.map (fun s -> crs_primes.(s)) sel in
+                 if fp.Crypto.Fingerprint.primes = expected then
+                   fp.Crypto.Fingerprint.residues = Array.map (fun s -> res.(s)) sel
+                 else Crypto.Fingerprint.check fp values.(jdx))
+               | None -> false)
+          end
         | None -> false
       in
       verdicts.(pos) <- verdict;

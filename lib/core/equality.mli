@@ -13,7 +13,8 @@
 
     Domain-safety: {!pairwise} evaluates [value i] once per member and
     keeps residue tables that consecutive members with equal values
-    share, but all of it lives inside the call — no state survives it or
+    share, and message encodings that pairs share, but all of it lives
+    inside the call — no state survives it or
     is shared between concurrent runs, so parallel jobs that own their
     network and RNG ({!Netsim.Net} contract) may run this freely.  Nothing
     writes a table after it is computed: the [tamper_fp] adversary
@@ -70,11 +71,28 @@ val run :
     prime alone, so sharing changes no message; it draws nothing from
     [rng] either, so the draws are those of the per-member computation.
 
+    {b Message sharing.}  An honest fingerprint message for pair
+    [(i, j)] depends only on [i]'s residue table and the pair's
+    selection, and selections repeat (an honest n = 512 all-to-all sends
+    130,816 messages taking 3,432 values).  While the pool holds at most
+    62 primes, each distinct message is encoded once per run of members
+    sharing a table, and every pair with that selection sends the same
+    bytes object; above 62 each pair encodes its own.  A tampering
+    sender's messages are encoded per pair and never shared.  In round
+    2, a receiver whose sender sent honestly and shares its residue
+    table accepts a message byte-equal to that pair's round-1 payload
+    without decoding it: the honest encoding is canonical, so the
+    decoding check would accept it too.  Any other message is decoded
+    and checked as before.  Sharing changes no byte, draw or verdict.
+
     {b Parallelism.}  With [~pool], each residue table's
     {!Crypto.Fingerprint.residues_many} sweep shards its primes over the
     pool (above that kernel's work threshold), and the ~|members|²/2
     per-pair jobs (fingerprint build/encode, residue comparison) are
-    dispatched through [Util.Pool.map_jobs].  Because every pair's
+    dispatched through [Util.Pool.map_jobs] in chunks.  The encodings
+    cache is per-chunk scratch, so each cache has a single owner, one
+    domain; chunks do not share encodings, so the pooled run sends more
+    distinct objects with the same bytes.  Because every pair's
     randomness comes from its keyed substream — a pure function of the
     parent stream position and the key — and sends are committed back in
     pair order on the calling domain, transcripts and verdicts are

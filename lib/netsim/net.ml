@@ -407,8 +407,9 @@ let live_of t i = t.inboxes.(i).live
      function.  A step may drain its own inbox ([Party.recv],
      [Party.recv_from], [Party.peek] reach only the party's own mailbox —
      state no other party touches) and buffers its sends into a private
-     outbox, so concurrent steps share {e no} mutable state and the phase
-     can be sharded across pool domains;
+     outbox (two growable arrays in its handle: destinations and
+     payloads), so concurrent steps share {e no} mutable state and the
+     phase can be sharded across pool domains;
 
    - a sequential {e commit} phase on the calling domain that replays the
      outboxes through [send] in ascending sender id, each outbox in send
@@ -431,7 +432,17 @@ let live_of t i = t.inboxes.(i).live
    because every receive returns first on an empty inbox. *)
 
 module Party = struct
-  type p = { net : t; me : int; outbox : (int * bytes) Queue.t }
+  (* The outbox is two growable arrays, destinations and payloads in send
+     order ([sent] slots valid), so a buffered send stores two words
+     instead of allocating a tuple and a queue cell.  Both start empty: a
+     party that sends nothing allocates nothing. *)
+  type p = {
+    net : t;
+    me : int;
+    mutable dsts : int array;
+    mutable payloads : bytes array;
+    mutable sent : int;
+  }
 
   let id p = p.me
   let recv p = recv p.net ~dst:p.me
@@ -445,7 +456,18 @@ module Party = struct
        shared: the real send happens at commit. *)
     check_party p.net dst "send";
     if p.me = dst then invalid_arg "Net.send: self-send";
-    Queue.push (dst, payload) p.outbox
+    let k = p.sent in
+    if k = Array.length p.dsts then begin
+      let cap = max 8 (2 * k) in
+      let dsts = Array.make cap 0 and payloads = Array.make cap Bytes.empty in
+      Array.blit p.dsts 0 dsts 0 k;
+      Array.blit p.payloads 0 payloads 0 k;
+      p.dsts <- dsts;
+      p.payloads <- payloads
+    end;
+    Array.unsafe_set p.dsts k dst;
+    Array.unsafe_set p.payloads k payload;
+    p.sent <- k + 1
 end
 
 let run_round ?pool t ~parties f =
@@ -475,7 +497,7 @@ let run_round ?pool t ~parties f =
       check_dup i)
     ps;
   let handles =
-    Array.map (fun me -> { Party.net = t; me; outbox = Queue.create () }) ps
+    Array.map (fun me -> { Party.net = t; me; dsts = [||]; payloads = [||]; sent = 0 }) ps
   in
   (* Compute phase. *)
   let results =
@@ -512,7 +534,9 @@ let run_round ?pool t ~parties f =
   Array.iter
     (fun k ->
       let h = handles.(k) in
-      Queue.iter (fun (dst, payload) -> send t ~src:h.Party.me ~dst payload) h.Party.outbox)
+      for m = 0 to h.Party.sent - 1 do
+        send t ~src:h.Party.me ~dst:h.Party.dsts.(m) h.Party.payloads.(m)
+      done)
     order;
   Array.to_list results
 

@@ -192,7 +192,10 @@ module Party : sig
   (** [send p ~dst payload] buffers a send from this party.  Argument
       validation (range, self-send) happens immediately, with the same
       exceptions as the network-level {!val-send}; the message itself is
-      enqueued, metered, and made deliverable only at commit. *)
+      appended to the party's outbox — two growable arrays in the
+      handle, destinations and payloads in send order, so a buffered
+      send allocates nothing beyond the arrays' doubling — and is
+      metered and made deliverable only at commit. *)
   val send : p -> dst:int -> bytes -> unit
 end
 
@@ -217,6 +220,7 @@ end
     orders by party id, never by shard.
 
     Commit phase (always sequential, on the calling domain): outboxes
+    (each a destination array and a payload array, see {!Party.send})
     are replayed through {!val-send} in ascending {e sender id}, each in
     send order.  Since delivery is stable by sender and all counter
     updates commute, every observable — delivery order, per-party bit

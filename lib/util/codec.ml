@@ -60,22 +60,12 @@ let write_option w f = function
     write_bool w true;
     f w v
 
-(* A reader is a cursor over a [limit]-bounded window of [data]; the
-   whole-buffer constructor sets the window to the full buffer, [of_sub]
-   to a slice — decoding a message embedded in a larger buffer then needs
-   no [Bytes.sub] copy. *)
+(* A reader is a cursor over [data], which ends at [limit]. *)
 type reader = { data : bytes; mutable pos : int; limit : int }
 
 exception Decode_error of string
 
 let reader data = { data; pos = 0; limit = Bytes.length data }
-
-let of_sub data ~pos ~len =
-  if pos < 0 || len < 0 || pos + len > Bytes.length data then
-    invalid_arg
-      (Printf.sprintf "Codec.of_sub: [%d, %d+%d) outside buffer of %d bytes" pos pos len
-         (Bytes.length data));
-  { data; pos; limit = pos + len }
 
 let at_end r = r.pos >= r.limit
 let pos r = r.pos
@@ -87,7 +77,7 @@ let pos r = r.pos
 let need r k =
   if k < 0 then
     raise (Decode_error (Printf.sprintf "negative length %d at offset %d" k r.pos));
-  (* Against the remaining window, not [r.pos + k > r.limit]: that sum
+  (* Against the remaining bytes, not [r.pos + k > r.limit]: that sum
      wraps negative for a claimed length near [max_int]. *)
   if k > r.limit - r.pos then
     raise
@@ -160,10 +150,6 @@ let view_equal_bytes v b =
   done;
   !k = v.len
 
-let reader_of_view v = { data = v.buf; pos = v.off; limit = v.off + v.len }
-
-let write_view w v = Buffer.add_subbytes w v.buf v.off v.len
-
 let read_string r = Bytes.to_string (read_bytes r)
 
 (* Every list/array element occupies at least one wire byte, so a count
@@ -210,12 +196,6 @@ let decode f b =
   let v = f r in
   if not (at_end r) then trailing r;
   v
-
-let decode_view f v =
-  let r = reader_of_view v in
-  let x = f r in
-  if not (at_end r) then trailing r;
-  x
 
 let varint_size v =
   let rec go v acc = if v lsr 7 = 0 then acc else go (v lsr 7) (acc + 1) in

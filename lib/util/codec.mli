@@ -54,21 +54,12 @@ val write_option : writer -> (writer -> 'a -> unit) -> 'a option -> unit
 type reader
 
 (** Raised on malformed input.  The message always names the failing
-    absolute offset (within the reader's underlying buffer), and — when a
-    length was involved — the expected vs available byte counts and the
-    window end, so a malformed message can be diagnosed from the error
-    alone. *)
+    offset, and — when a length was involved — the expected vs available
+    byte counts and the buffer's end (reported as the window end), so a
+    malformed message can be diagnosed from the error alone. *)
 exception Decode_error of string
 
 val reader : bytes -> reader
-
-(** [of_sub b ~pos ~len] is a reader over the window [\[pos, pos+len)] of
-    [b] — no copy is taken.  Raises [Invalid_argument] if the window is
-    outside [b].  The window bounds every read: consuming past
-    [pos + len] raises {!Decode_error} exactly as running off the end of
-    a whole-buffer reader does, and {!at_end} answers relative to the
-    window. *)
-val of_sub : bytes -> pos:int -> len:int -> reader
 
 (** [at_end r] is true when every byte has been consumed. *)
 val at_end : reader -> bool
@@ -123,13 +114,6 @@ val view_to_bytes : view -> bytes
     without materializing the view. *)
 val view_equal_bytes : view -> bytes -> bool
 
-(** [reader_of_view v] is [of_sub v.buf ~pos:v.off ~len:v.len]. *)
-val reader_of_view : view -> reader
-
-(** [write_view w v] appends the window to [w] without an intermediate
-    copy (no length prefix, like {!write_raw}). *)
-val write_view : writer -> view -> unit
-
 val read_string : reader -> string
 val read_list : reader -> (reader -> 'a) -> 'a list
 val read_array : reader -> (reader -> 'a) -> 'a array
@@ -144,10 +128,6 @@ val encode : (writer -> 'a -> unit) -> 'a -> bytes
 (** [decode f b] decodes [b] entirely; raises {!Decode_error} on trailing or
     missing bytes. *)
 val decode : (reader -> 'a) -> bytes -> 'a
-
-(** [decode_view f v] decodes the window entirely — [decode] without the
-    [Bytes.sub]. *)
-val decode_view : (reader -> 'a) -> view -> 'a
 
 (** [varint_size v] is the encoded size of [v] in bytes (for cost models). *)
 val varint_size : int -> int

@@ -2,7 +2,7 @@
 
 let checkb = Alcotest.(check bool)
 
-let params n = Mpc.Params.make ~n ~h:(n / 2) ~lambda:8 ~alpha:2 ()
+let params ?(lambda = 8) n = Mpc.Params.make ~n ~h:(n / 2) ~lambda ~alpha:2 ()
 
 let test_two_party_equal () =
   let net = Netsim.Net.create 4 in
@@ -151,6 +151,47 @@ let test_pairwise_cost_scales_with_members () =
   let ratio = float_of_int b16 /. float_of_int b8 in
   checkb "quadratic growth" true (ratio > 3.0 && ratio < 5.0)
 
+(* An honest round encodes each distinct fingerprint message once: every
+   pair whose message is byte-equal to another's sends the very same
+   bytes object.  40 members hold one short value, so t = 3 and the
+   780 pairs draw from C(6, 3) = 20 possible selections. *)
+let test_pairwise_shares_equal_messages () =
+  let n = 40 in
+  let round1 = ref [] and delivered = ref false in
+  let sync = Netsim.Transport.sync () in
+  let transport =
+    { sync with
+      Netsim.Transport.submit =
+        (fun ~src ~dst b ->
+          if not !delivered then round1 := b :: !round1;
+          sync.submit ~src ~dst b);
+      advance =
+        (fun ~deliver ->
+          delivered := true;
+          sync.advance ~deliver)
+    }
+  in
+  let net = Netsim.Net.create ~transport n in
+  let verdicts =
+    Mpc.Equality.pairwise net (Util.Prng.create 12) (params n)
+      ~members:(List.init n Fun.id)
+      ~value:(fun _ -> Bytes.of_string "one short value")
+      ~corruption:(Netsim.Corruption.none ~n) ~adv:Mpc.Equality.honest_adv
+  in
+  List.iter (fun (_, ok) -> checkb "accepts" true ok) verdicts;
+  Alcotest.(check int) "round-1 messages" (n * (n - 1) / 2) (List.length !round1);
+  (* Per byte-distinct message, its physically distinct objects. *)
+  let objects = Hashtbl.create 64 in
+  List.iter
+    (fun b ->
+      let key = Bytes.to_string b in
+      let seen = Option.value ~default:[] (Hashtbl.find_opt objects key) in
+      if not (List.memq b seen) then Hashtbl.replace objects key (b :: seen))
+    !round1;
+  let physical = Hashtbl.fold (fun _ objs acc -> acc + List.length objs) objects 0 in
+  checkb "some messages repeat" true (Hashtbl.length objects < List.length !round1);
+  Alcotest.(check int) "physically distinct = byte-distinct" (Hashtbl.length objects) physical
+
 (* ---- Differential oracle: [pairwise] against one table per member ----
 
    [Reference] is [pairwise] as it was before a member whose value is
@@ -158,10 +199,13 @@ let test_pairwise_cost_scales_with_members () =
    table: it computes a table per member.  Apart from its comments it is kept verbatim, so any change
    in what the protocol puts on the wire, decides or draws shows up as a
    difference.  The property runs both on random member sets over a few
-   value classes with near-duplicates, under random corruption and four
-   adversaries, and compares every submitted message (src, dst, payload)
-   in order, the verdicts, bits/messages/rounds, the adversary's call
-   count and the next draw of the parent RNG. *)
+   value classes with near-duplicates, under random corruption, four
+   adversaries and a random λ, and compares every submitted message
+   (src, dst, payload) in order, the verdicts, bits/messages/rounds, the
+   adversary's call count and the next draw of the parent RNG.  A large
+   λ takes the prime pool past 62 (where [pairwise] stops caching
+   round-1 encodings by selection bitmask) and, with the large values,
+   past 256 (where it stops storing selections). *)
 module Reference = struct
   let decode_fp b =
     match Util.Codec.decode Crypto.Fingerprint.decode b with
@@ -386,6 +430,7 @@ type case = {
   members : (int * int * variant) list;  (** (party, class, variant) *)
   corrupted : int list;
   adversary : int;  (** 0 honest, 1 pure tamper, 2 stateful tamper, 3 lying verdicts *)
+  lambda : int;
   seed : int;
 }
 
@@ -422,12 +467,13 @@ let gen_case =
   list_repeat n (triple bool (int_bound (nclasses - 1)) variant) >>= fun slots ->
   list_repeat n (frequency [ (3, return false); (1, return true) ]) >>= fun corrupt ->
   int_bound 3 >>= fun adversary ->
+  frequency [ (3, return 8); (1, int_range 8 400) ] >>= fun lambda ->
   int >|= fun seed ->
   let members =
     List.concat (List.mapi (fun i (m, cls, v) -> if m then [ (i, cls, v) ] else []) slots)
   in
   let corrupted = List.concat (List.mapi (fun i c -> if c then [ i ] else []) corrupt) in
-  { n; bases; members; corrupted; adversary; seed }
+  { n; bases; members; corrupted; adversary; lambda; seed }
 
 let print_case c =
   let variant = function
@@ -436,8 +482,8 @@ let print_case c =
     | Append c -> Printf.sprintf "append(%d)" (Char.code c)
     | Empty -> "empty"
   in
-  Printf.sprintf "n=%d seed=%d adversary=%d bases=[%s] corrupted=[%s] members=[%s]" c.n
-    c.seed c.adversary
+  Printf.sprintf "n=%d seed=%d adversary=%d lambda=%d bases=[%s] corrupted=[%s] members=[%s]"
+    c.n c.seed c.adversary c.lambda
     (String.concat ";" (List.map (fun b -> string_of_int (String.length b)) (Array.to_list c.bases)))
     (String.concat ";" (List.map string_of_int c.corrupted))
     (String.concat ";"
@@ -507,7 +553,7 @@ let observe case pairwise ?pool () =
   let values = Hashtbl.create 16 in
   List.iter (fun ((i, _, _) as m) -> Hashtbl.replace values i (member_value case m)) case.members;
   let verdicts =
-    pairwise ?pool net rng (params case.n)
+    pairwise ?pool net rng (params ~lambda:case.lambda case.n)
       ~members:(List.map (fun (i, _, _) -> i) case.members)
       ~value:(fun i -> Bytes.copy (Hashtbl.find values i))
       ~corruption ~adv
@@ -551,6 +597,8 @@ let () =
           Alcotest.test_case "tampered fingerprints" `Quick test_pairwise_tampered_fingerprint;
           Alcotest.test_case "lying verdict" `Quick test_pairwise_lying_verdict_cannot_fool_receiver;
           Alcotest.test_case "quadratic cost" `Quick test_pairwise_cost_scales_with_members;
+          Alcotest.test_case "equal honest messages share bytes" `Quick
+            test_pairwise_shares_equal_messages;
           QCheck_alcotest.to_alcotest prop_pairwise_matches_reference;
         ] );
     ]

@@ -2,7 +2,8 @@
    ([Netsim.Net.run_round]): the committed state after a round — inbox
    contents, per-party bit counters, locality sets, message and round
    totals — must be byte-identical whether the compute phase ran
-   sequentially or sharded over 2 or 8 executors.  The second half drives
+   sequentially or sharded over 2 or 8 executors, and identical to a
+   plain replay of the same sends through [Net.send].  The second half drives
    every [Mpc.Attacks] adversary through the parallel protocol ports and
    checks the abort/outcome verdicts match the sequential runs exactly. *)
 
@@ -74,6 +75,34 @@ let execute ?pool n plan =
   let leftovers = List.map (fun dst -> Netsim.Net.recv net ~dst) all in
   (trace, leftovers, observe net)
 
+(* The oracle: the same plan with no [run_round] at all — each round,
+   every party in ascending id drains its inbox and sends through the
+   flat [Net.send], in plan order.  Sends reach inboxes only at [step],
+   so a party's drain never sees a message sent earlier in its round. *)
+let replay n plan =
+  let net = Netsim.Net.create n in
+  let all = List.init n (fun i -> i) in
+  let trace =
+    List.mapi
+      (fun r per_party ->
+        let inboxes =
+          List.map
+            (fun me ->
+              let inbox = Netsim.Net.recv net ~dst:me in
+              List.iter
+                (fun (dst, len) ->
+                  Netsim.Net.send net ~src:me ~dst (payload ~round:r ~src:me ~dst ~len))
+                per_party.(me);
+              inbox)
+            all
+        in
+        Netsim.Net.step net;
+        inboxes)
+      plan
+  in
+  let leftovers = List.map (fun dst -> Netsim.Net.recv net ~dst) all in
+  (trace, leftovers, observe net)
+
 (* Normalize a generated round (list of (src, dst, len)) into per-party
    send lists, redirecting self-sends. *)
 let to_per_party n rounds =
@@ -103,21 +132,46 @@ let prop_parallel_matches_sequential =
       let reference = execute n plan in
       List.for_all (fun pool -> execute ?pool n plan = reference) (all_pools ()))
 
-let test_skewed_shard () =
-  (* One party produces 100x the traffic of the others, so with contiguous
-     shards one worker owns nearly all the work — scheduling skew must not
-     leak into delivery or accounting. *)
-  let n = 12 in
-  let plan =
-    List.init 3 (fun _ ->
-        Array.init n (fun me ->
-            if me = 3 then List.init 100 (fun k -> ((me + 1 + (k mod (n - 1))) mod n, k mod 9))
-            else [ ((me + 1) mod n, 2) ]))
+(* [run_round] at 1, 2 and 8 executors against [replay].  Each round
+   has one hot party sending well past an outbox's initial capacity (8)
+   and, in most rounds, parties that send nothing. *)
+let prop_run_round_matches_replay =
+  let n = 9 in
+  let gen =
+    QCheck.Gen.(
+      list_size (int_range 1 4)
+        ( int_bound (n - 1) >>= fun hot ->
+          int_range 9 60 >>= fun burst ->
+          list_size (int_bound 12)
+            (triple (int_bound (n - 1)) (int_bound (n - 1)) (int_bound 12))
+          >>= fun sends ->
+          list_repeat burst (pair (int_bound (n - 1)) (int_bound 12)) >|= fun hot_sends ->
+          List.map (fun (dst, len) -> (hot, dst, len)) hot_sends @ sends ))
   in
+  QCheck.Test.make ~count:60 ~name:"run_round = Net.send replay (jobs 1/2/8)"
+    (QCheck.make gen)
+    (fun rounds ->
+      let plan = to_per_party n rounds in
+      let oracle = replay n plan in
+      List.for_all (fun pool -> execute ?pool n plan = oracle) (all_pools ()))
+
+(* One party produces 100x the traffic of the others, so with contiguous
+   shards one worker owns nearly all the work — scheduling skew must not
+   leak into delivery or accounting. *)
+let skewed_plan n =
+  List.init 3 (fun _ ->
+      Array.init n (fun me ->
+          if me = 3 then List.init 100 (fun k -> ((me + 1 + (k mod (n - 1))) mod n, k mod 9))
+          else [ ((me + 1) mod n, 2) ]))
+
+let test_skewed_shard () =
+  let n = 12 in
+  let plan = skewed_plan n in
   let reference = execute n plan in
   List.iter
     (fun pool -> checkb "skewed schedule identical" true (execute ?pool n plan = reference))
-    (all_pools ())
+    (all_pools ());
+  checkb "skewed schedule = Net.send replay" true (reference = replay n plan)
 
 let test_skewed_shard_balanced_plan () =
   (* The packing run_round derives from the skewed schedule's weight
@@ -573,6 +627,7 @@ let () =
       ( "differential",
         [
           QCheck_alcotest.to_alcotest prop_parallel_matches_sequential;
+          QCheck_alcotest.to_alcotest prop_run_round_matches_replay;
           Alcotest.test_case "skewed shard" `Quick test_skewed_shard;
           Alcotest.test_case "skewed shard: balanced plan" `Quick test_skewed_shard_balanced_plan;
           Alcotest.test_case "job counts cover all shards" `Quick test_job_counts_cover_all_shards;

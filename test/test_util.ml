@@ -445,14 +445,14 @@ module Varint_ref = struct
     in
     go v
 
-  (* [read b ~pos ~limit] is [Ok (value, next offset)] or [Error message],
-     the message [Codec.Decode_error] must carry. *)
-  let read b ~pos ~limit =
+  (* [read b] is [Ok (value, next offset)] or [Error message] for the
+     varint at the start of [b], the message [Codec.Decode_error] must
+     carry. *)
+  let read b =
+    let limit = Bytes.length b in
     let rec go shift acc p =
       if shift > 62 then
-        Error
-          (Printf.sprintf "varint at offset %d too long (10th continuation byte at offset %d)"
-             pos p)
+        Error (Printf.sprintf "varint at offset 0 too long (10th continuation byte at offset %d)" p)
       else if p >= limit then
         Error
           (Printf.sprintf "need 1 bytes at offset %d, but only %d remain (window ends at %d)" p
@@ -462,7 +462,7 @@ module Varint_ref = struct
         let acc = acc lor ((byte land 0x7F) lsl shift) in
         if byte land 0x80 = 0 then Ok (acc, p + 1) else go (shift + 7) acc (p + 1)
     in
-    go 0 0 pos
+    go 0 0 0
 end
 
 let gen_any_int =
@@ -490,8 +490,7 @@ let codec_prop_varint_write_reference =
       && String.length enc = Util.Codec.varint_size v)
 
 (* Input for the reader: random bytes, truncated encodings, and runs of
-   continuation bytes around the nine-byte limit, read from a window at
-   a random offset. *)
+   continuation bytes around the nine-byte limit. *)
 let gen_varint_input =
   QCheck.Gen.(
     let continuation = map (fun c -> Char.chr (Char.code c lor 0x80)) char in
@@ -505,27 +504,20 @@ let gen_varint_input =
         ( int_range 8 11 >>= fun k ->
           string_size ~gen:continuation (return k) >>= fun run ->
           string_size (int_bound 2) >|= fun tail -> run ^ tail )
-      ]
-    >>= fun body ->
-    pair (string_size (int_bound 3)) (string_size (int_bound 3)) >|= fun (pre, post) ->
-    (pre, body, post))
+      ])
 
 let codec_prop_varint_read_reference =
   QCheck.Test.make ~count:1000 ~name:"codec: read_varint = recursive reference, error for error"
-    (QCheck.make
-       ~print:(fun (pre, body, post) ->
-         Printf.sprintf "%S | %S | %S" pre body post)
-       gen_varint_input)
-    (fun (pre, body, post) ->
-      let b = Bytes.of_string (pre ^ body ^ post) in
-      let pos = String.length pre and len = String.length body in
-      let r = Util.Codec.of_sub b ~pos ~len in
+    (QCheck.make ~print:(Printf.sprintf "%S") gen_varint_input)
+    (fun body ->
+      let b = Bytes.of_string body in
+      let r = Util.Codec.reader b in
       let got =
         match Util.Codec.read_varint r with
         | v -> Ok (v, Util.Codec.pos r)
         | exception Util.Codec.Decode_error m -> Error m
       in
-      got = Varint_ref.read b ~pos ~limit:(pos + len))
+      got = Varint_ref.read b)
 
 (* The per-pair kernels of the equality round allocate nothing: 10^5
    calls each stay under 0.01 minor words per call (the allowance covers
@@ -561,115 +553,7 @@ let test_kernels_allocation_free () =
       done);
   checkb "kernels ran" true (!sum <> 0)
 
-(* ---- Slice readers and zero-copy views ---- *)
-
-(* One compound message exercising every combinator; decoding it through a
-   whole-buffer reader and through an [of_sub] window (the same payload
-   embedded in junk) must agree, byte-for-byte and error-for-error. *)
-type probe = {
-  p_varint : int;
-  p_bool : bool;
-  p_byte : int;
-  p_bytes : bytes;
-  p_raw : bytes;
-  p_string : string;
-  p_list : int list;
-  p_array : bool array;
-  p_pair : int * string;
-  p_option : bytes option;
-}
-
-let write_probe w p =
-  Util.Codec.write_varint w p.p_varint;
-  Util.Codec.write_bool w p.p_bool;
-  Util.Codec.write_byte w p.p_byte;
-  Util.Codec.write_bytes w p.p_bytes;
-  Util.Codec.write_varint w (Bytes.length p.p_raw);
-  Util.Codec.write_raw w p.p_raw;
-  Util.Codec.write_string w p.p_string;
-  Util.Codec.write_list w Util.Codec.write_varint p.p_list;
-  Util.Codec.write_array w Util.Codec.write_bool p.p_array;
-  Util.Codec.write_pair w Util.Codec.write_varint Util.Codec.write_string p.p_pair;
-  Util.Codec.write_option w Util.Codec.write_bytes p.p_option
-
-let read_probe r =
-  let p_varint = Util.Codec.read_varint r in
-  let p_bool = Util.Codec.read_bool r in
-  let p_byte = Util.Codec.read_byte r in
-  let p_bytes = Util.Codec.read_bytes r in
-  let p_raw = Util.Codec.read_raw r (Util.Codec.read_varint r) in
-  let p_string = Util.Codec.read_string r in
-  let p_list = Util.Codec.read_list r Util.Codec.read_varint in
-  let p_array = Util.Codec.read_array r Util.Codec.read_bool in
-  let p_pair = Util.Codec.read_pair r Util.Codec.read_varint Util.Codec.read_string in
-  let p_option = Util.Codec.read_option r Util.Codec.read_bytes in
-  { p_varint; p_bool; p_byte; p_bytes; p_raw; p_string; p_list; p_array; p_pair; p_option }
-
-let probe_gen =
-  QCheck.Gen.(
-    let bytes_gen = map Bytes.of_string (string_size (0 -- 40)) in
-    map
-      (fun ((v, b, by), (bs, raw, s, l), (arr, pr, opt)) ->
-        { p_varint = v;
-          p_bool = b;
-          p_byte = by;
-          p_bytes = bs;
-          p_raw = raw;
-          p_string = s;
-          p_list = l;
-          p_array = Array.of_list arr;
-          p_pair = pr;
-          p_option = opt
-        })
-      (triple
-         (triple int bool (0 -- 255))
-         (quad bytes_gen bytes_gen (string_size (0 -- 30)) (list_size (0 -- 20) int))
-         (triple (list_size (0 -- 20) bool) (pair int (string_size (0 -- 10)))
-            (option bytes_gen))))
-
-let probe_arb = QCheck.make probe_gen
-
-let codec_prop_slice_reader_equiv =
-  QCheck.Test.make ~name:"of_sub window decode = whole-buffer decode (all combinators)"
-    ~count:300
-    QCheck.(pair probe_arb (pair small_nat small_nat))
-    (fun (p, (npre, nsuf)) ->
-      let payload = Util.Codec.encode write_probe p in
-      let whole = Util.Codec.decode read_probe payload in
-      (* Embed the payload between junk prefix/suffix bytes; the window
-         reader must see exactly the same message. *)
-      let buf =
-        Bytes.concat Bytes.empty
-          [ Bytes.make npre '\xAA'; payload; Bytes.make nsuf '\xBB' ]
-      in
-      let r = Util.Codec.of_sub buf ~pos:npre ~len:(Bytes.length payload) in
-      let sliced = read_probe r in
-      whole = sliced && Util.Codec.at_end r)
-
-let codec_prop_slice_reader_bounds =
-  QCheck.Test.make ~name:"of_sub window bounds reads like a short buffer" ~count:300
-    QCheck.(pair probe_arb (1 -- 12))
-    (fun (p, cut) ->
-      let payload = Util.Codec.encode write_probe p in
-      let len = Bytes.length payload in
-      let cut = min cut len in
-      (* Truncating the window by [cut] bytes must fail exactly like
-         decoding a truncated copy of the buffer. *)
-      let window () =
-        let r = Util.Codec.of_sub payload ~pos:0 ~len:(len - cut) in
-        ignore (read_probe r)
-      in
-      let truncated () =
-        ignore (Util.Codec.decode read_probe (Bytes.sub payload 0 (len - cut)))
-      in
-      let fails f =
-        match f () with
-        | () -> false
-        | exception Util.Codec.Decode_error _ -> true
-      in
-      (* The cut can land inside trailing junk-tolerant space only if the
-         last field shrank; both readers must agree either way. *)
-      fails window = fails truncated)
+(* ---- Zero-copy views ---- *)
 
 let codec_prop_views_equiv =
   QCheck.Test.make ~name:"view reads = copying reads; views round-trip" ~count:300
@@ -696,25 +580,7 @@ let codec_prop_views_equiv =
         && Util.Codec.view_equal_bytes v2 b2
         && (Bytes.length b1 = Bytes.length b2 || not (Util.Codec.view_equal_bytes v1 b2))
       in
-      (* A reader over the view sees the window, bounded by it. *)
-      let rv = Util.Codec.reader_of_view v1 in
-      let ok_reader =
-        Bytes.equal (Util.Codec.read_raw rv (Bytes.length b1)) b1 && Util.Codec.at_end rv
-      in
-      (* decode_view consumes the window exactly. *)
-      let ok_decode =
-        Bytes.equal (Util.Codec.decode_view (fun r -> Util.Codec.read_raw r (Bytes.length b2)) v2) b2
-      in
-      (* write_view appends the window verbatim (= write_raw of the copy). *)
-      let reenc =
-        Util.Codec.encode
-          (fun w () ->
-            Util.Codec.write_view w v1;
-            Util.Codec.write_view w v2)
-          ()
-      in
-      let ok_write = Bytes.equal reenc (Bytes.cat b1 b2) in
-      ok_contents && ok_reader && ok_decode && ok_write && Util.Codec.at_end r)
+      ok_contents && Util.Codec.at_end r)
 
 (* ---- sample_array ≡ the Hashtbl/List.sort sampler ---- *)
 
@@ -1015,8 +881,6 @@ let () =
           QCheck_alcotest.to_alcotest codec_prop_varint_write_reference;
           QCheck_alcotest.to_alcotest codec_prop_varint_read_reference;
           Alcotest.test_case "kernels allocation-free" `Quick test_kernels_allocation_free;
-          QCheck_alcotest.to_alcotest codec_prop_slice_reader_equiv;
-          QCheck_alcotest.to_alcotest codec_prop_slice_reader_bounds;
           QCheck_alcotest.to_alcotest codec_prop_views_equiv;
         ] );
       ( "pool",
