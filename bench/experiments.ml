@@ -25,12 +25,12 @@ let wall_table title =
 (* ---- protocol runs: one honest execution, returned with the cost spec
    and environment [check] asserts it against ---- *)
 
-let alg3 ?pool ?deadline ~pke ~circuit ?(input_width = 1) ~inputs net rng params =
+let alg3 ?deadline ~pke ~circuit ?(input_width = 1) ~inputs net rng params =
   let n = Net.n net in
   let config = { Mpc.Mpc_abort.params; pke; circuit; input_width } in
   let obs = Costs.Obs.create () in
   let outs =
-    Mpc.Mpc_abort.run ?pool ?deadline ~obs net rng config ~corruption:(honest n) ~inputs
+    Mpc.Mpc_abort.run ?deadline ~obs net rng config ~corruption:(honest n) ~inputs
       ~adv:Mpc.Mpc_abort.honest_adv
   in
   ( outs,
@@ -42,12 +42,12 @@ let alg3 ?pool ?deadline ~pke ~circuit ?(input_width = 1) ~inputs net rng params
         ~n:(Const n) ~lambda:(Const 8)),
     Costs.env ~obs [] )
 
-let thm2 ?pool ~pke ~circuit ~inputs net rng (params : Mpc.Params.t) =
+let thm2 ~pke ~circuit ~inputs net rng (params : Mpc.Params.t) =
   let n = Net.n net in
   let config = { Mpc.Local_mpc.params; pke; circuit; input_width = 1 } in
   let obs = Costs.Obs.create () in
   let outs =
-    Mpc.Local_mpc.run_theorem2 ?pool ~obs net rng config ~corruption:(honest n) ~inputs
+    Mpc.Local_mpc.run_theorem2 ~obs net rng config ~corruption:(honest n) ~inputs
       ~adv:Mpc.Local_mpc.honest_theorem2_adv
   in
   ( outs,
@@ -61,12 +61,12 @@ let thm2 ?pool ~pke ~circuit ~inputs net rng (params : Mpc.Params.t) =
 
 (* Theorem 4 (Algorithm 8): E3, E10 (through the cover-size override,
    whose fan-out observables the same formulas consume) and the catalog. *)
-let thm4 ?pool ?cover_size ~pke ~circuit ~inputs net rng (params : Mpc.Params.t) =
+let thm4 ?cover_size ~pke ~circuit ~inputs net rng (params : Mpc.Params.t) =
   let n = Net.n net in
   let config = { Mpc.Local_mpc.params; pke; circuit; input_width = 1 } in
   let obs = Costs.Obs.create () in
   let outs =
-    Mpc.Local_mpc.run_theorem4_metered ?cover_size ?pool ~obs net rng config
+    Mpc.Local_mpc.run_theorem4_metered ?cover_size ~obs net rng config
       ~corruption:(honest n) ~inputs ~adv:Mpc.Local_mpc.honest_theorem4_adv
   in
   ( outs,
@@ -80,10 +80,10 @@ let thm4 ?pool ?cover_size ~pke ~circuit ~inputs net rng (params : Mpc.Params.t)
 
 (* All-to-all over the full party set with uniform [len]-byte inputs
    (closed form: no observables). *)
-let a2a ?pool ?deadline ~variant ~len ~input net rng params =
+let a2a ?deadline ~variant ~len ~input net rng params =
   let n = Net.n net in
   let outs =
-    Mpc.All_to_all.run ?pool ?deadline net rng params ~variant ~participants:(List.init n Fun.id)
+    Mpc.All_to_all.run ?deadline net rng params ~variant ~participants:(List.init n Fun.id)
       ~input ~corruption:(honest n) ~adv:Mpc.All_to_all.honest_adv
   in
   let spec =
@@ -130,7 +130,6 @@ let sparse_spec (p : Mpc.Params.t) =
    specs are otherwise exercised only inside the pipelines that embed
    them (local-committee, Thm 2, Alg 3, Alg 8). *)
 type inst = {
-  on : Util.Pool.t option;  (** pool the protocol may shard rounds over *)
   p : Mpc.Params.t;
   rng : Util.Prng.t;
   pke : int;  (** simulated-PKE seed *)
@@ -144,9 +143,9 @@ type case = {
   run : inst -> Net.t -> Costs.spec * Costs.env;
 }
 
-let execute c ?pool p ~seed ~pke ~inputs =
+let execute c p ~seed ~pke ~inputs =
   let net = Net.create (Option.value c.parties ~default:p.Mpc.Params.n) in
-  let spec, env = c.run { on = pool; p; rng = prng seed; pke; inputs } net in
+  let spec, env = c.run { p; rng = prng seed; pke; inputs } net in
   (net, spec, env)
 
 let catalog =
@@ -214,17 +213,17 @@ let catalog =
                 ~alpha:(Const i.p.alpha))));
     case ~e11:("MPC with abort (Alg 3, Thm 1)", 5, 11) 47 (fun i net ->
         let _, spec, env =
-          alg3 ?pool:i.on ~pke:(sim_pke i.pke) ~circuit:(parity i) ~inputs:i.inputs net i.rng i.p
+          alg3 ~pke:(sim_pke i.pke) ~circuit:(parity i) ~inputs:i.inputs net i.rng i.p
         in
         (spec, env));
     case ~e11:("gossip MPC (Thm 2)", 6, 12) 48 (fun i net ->
         let _, spec, env =
-          thm2 ?pool:i.on ~pke:(sim_pke i.pke) ~circuit:(parity i) ~inputs:i.inputs net i.rng i.p
+          thm2 ~pke:(sim_pke i.pke) ~circuit:(parity i) ~inputs:i.inputs net i.rng i.p
         in
         (spec, env));
     case ~e11:("local MPC (Alg 8, Thm 4)", 7, 13) 49 (fun i net ->
         let _, spec, env =
-          thm4 ?pool:i.on ~pke:(sim_pke i.pke) ~circuit:(parity i) ~inputs:i.inputs net i.rng i.p
+          thm4 ~pke:(sim_pke i.pke) ~circuit:(parity i) ~inputs:i.inputs net i.rng i.p
         in
         (spec, env));
     case ~parties:32 50 (fun i net ->
@@ -254,7 +253,7 @@ let pipeline_row ~experiment run series ctx (n, h, seed) =
 let e1_row =
   pipeline_row ~experiment:"E1" (fun ctx ~pke ~circuit ~inputs net rng (n, h) ->
       let outs, spec, env =
-        alg3 ?pool:ctx.pool ~deadline:(deadline ctx) ~pke ~circuit ~inputs net rng (params n h)
+        alg3 ~deadline:(deadline ctx) ~pke ~circuit ~inputs net rng (params n h)
       in
       assert (all_output outs);
       (spec, env))
@@ -311,8 +310,7 @@ let e1 =
       block Huge "E1  (huge tier) Algorithm 3 at n up to 2048"
         ~intro:
           "same protocol, series, and seeds as the full tier's h = n/4 sweep,\n\
-           pushed to n = 2048; each run shards its rounds across the --jobs pool\n\
-           via Net.run_round, so records are bit-identical at any --jobs value.\n\n"
+           pushed to n = 2048, one run at a time.\n\n"
         [
           ratio_sweep ~full:[ 512; 1024; 2048 ] ~quick:[ 512 ]
             (table ~title:ratio_title ~columns:[ "n"; "h"; "bits"; "bits*h/n^2"; "wall ms" ]
@@ -328,8 +326,8 @@ let e1 =
 
 let e2 =
   let row =
-    pipeline_row ~experiment:"E2" (fun ctx ~pke ~circuit ~inputs net rng (n, h) ->
-        let outs, spec, env = thm2 ?pool:ctx.pool ~pke ~circuit ~inputs net rng (params n h) in
+    pipeline_row ~experiment:"E2" (fun _ ~pke ~circuit ~inputs net rng (n, h) ->
+        let outs, spec, env = thm2 ~pke ~circuit ~inputs net rng (params n h) in
         assert (all_output outs);
         (spec, env))
   in
@@ -363,10 +361,8 @@ let e2 =
 
 let e3 =
   let row =
-    pipeline_row ~experiment:"E3" (fun ctx ~pke ~circuit ~inputs net rng (n, h) ->
-        let _, spec, env =
-          thm4 ?pool:ctx.pool ~pke ~circuit ~inputs net rng (params ~alpha:1 n h)
-        in
+    pipeline_row ~experiment:"E3" (fun _ ~pke ~circuit ~inputs net rng (n, h) ->
+        let _, spec, env = thm4 ~pke ~circuit ~inputs net rng (params ~alpha:1 n h) in
         (spec, env))
   in
   Blocks
@@ -815,7 +811,7 @@ let a2a_row ~len ctx (variant, n) =
          let net = net ctx ~seed:n n in
          let input i = Crypto.Kdf.expand ~key:(Bytes.of_string (string_of_int i)) ~info:"e9" len in
          let outs, spec, env =
-           a2a ?pool:ctx.pool ~deadline:(deadline ctx) ~variant ~len ~input net (prng n)
+           a2a ~deadline:(deadline ctx) ~variant ~len ~input net (prng n)
              (params n (n / 2))
          in
          assert (List.for_all (fun (_, o) -> Mpc.Outcome.is_output o) outs);
@@ -877,7 +873,7 @@ let e10 =
     measure ctx ~experiment:"E10" ~series:(Printf.sprintf "cover s=%d" s) ~n ~h (fun check ->
         let net = net ctx ~seed:s n in
         let (outs, costs), spec, env =
-          thm4 ?pool:ctx.pool ~cover_size:s ~pke:(sim_pke 10) ~circuit:(Circuit.parity ~n)
+          thm4 ~cover_size:s ~pke:(sim_pke 10) ~circuit:(Circuit.parity ~n)
             ~inputs:(parity_inputs n) net (prng (100 + s)) (params ~alpha:1 n h)
         in
         check net spec env;
@@ -920,7 +916,7 @@ let e11 =
   let row ctx (label, seed, pke, c) =
     measure ctx ~experiment:"E11" ~series:label ~n ~h (fun check ->
         let net, spec, env =
-          execute c ?pool:ctx.pool (params n h) ~seed ~pke ~inputs:(Array.make n 0)
+          execute c (params n h) ~seed ~pke ~inputs:(Array.make n 0)
         in
         check net spec env;
         Net.max_locality net)
@@ -999,7 +995,7 @@ let e13_row ctx (proto, n) =
       (measure ctx ~experiment:"E13" ~series:"alg3 majority h=n/4" ~n ~h:(n / 4) (fun check ->
            let net = net ctx ~seed:n n in
            let _, spec, env =
-             alg3 ?pool:ctx.pool ~pke:(sim_pke n) ~circuit ~inputs net (prng (n + 1))
+             alg3 ~pke:(sim_pke n) ~circuit ~inputs net (prng (n + 1))
                (params n (n / 4))
            in
            check net spec env))
@@ -1133,8 +1129,7 @@ let e14 =
 (* Each measurement owns its pool (created and shut down here).  Trivial
    jobs isolate pure scheduling cost — the atomic job-counter claim,
    worker wakeup, and result-slot write per job — which is the overhead
-   every [Net.run_round] shard and every sweep point pays on top of its
-   real work. *)
+   every sweep point and soak schedule pays on top of its real work. *)
 let pool_micro () =
   section "pool-micro  Util.Pool.map_jobs dispatch overhead (ns/job)";
   let njobs = 256 in
@@ -1152,8 +1147,8 @@ let pool_micro () =
          [ name; Printf.sprintf "%.0f" est; Printf.sprintf "%.1f" (est /. float_of_int njobs) ]);
   print_string
     "shape check: ns/job grows with pool width on a loaded machine (more\n\
-     workers contending for the same counter) — batching per shard, as\n\
-     run_round does, is what keeps the overhead amortized.\n";
+     workers contending for the same counter) — jobs as large as a sweep\n\
+     point or a soak schedule are what keep the overhead amortized.\n";
   List.iter (fun (_, p) -> Util.Pool.shutdown p) pools;
   no_runs
 
@@ -1225,7 +1220,7 @@ let cost_audit () =
     List.fold_left
       (fun failed c ->
         let net, spec, env =
-          execute c ?pool:!pool (params n (n / 2)) ~seed:c.audit_seed ~pke:c.audit_seed
+          execute c (params n (n / 2)) ~seed:c.audit_seed ~pke:c.audit_seed
             ~inputs:(parity_inputs n)
         in
         let _, ok = check_spec net spec env in

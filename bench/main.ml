@@ -125,7 +125,7 @@ let () =
         ("--only", Arg.String (some only), "ID run one experiment or mode (see --list)");
         ("--list", Arg.Set list, " list experiments with their tiers and sweep points");
         ("--quick", Arg.Set quick, " reduced sweeps and trial counts (the CI tier)");
-        ("--huge", Arg.Unit (set_tier Huge), " huge tier: n up to 2048, rounds split over --jobs");
+        ("--huge", Arg.Unit (set_tier Huge), " huge tier: n up to 2048, one run at a time");
         ( "--giant",
           Arg.Unit (set_tier Giant),
           " giant tier: n up to 10^6, outcomes streamed through run_iter" );
@@ -140,7 +140,8 @@ let () =
                 | "max", _ -> Util.Pool.default_num_domains () + 1
                 | _, Some j when j >= 1 -> j
                 | _ -> bad "--jobs expects a positive integer or \"max\", got %S" s),
-          "N|max parallel executors (default 1; max = all cores)" );
+          "N|max executors for base/async sweep points and soak schedules (default 1; max = all \
+           cores)" );
         ("--json", Arg.String (some json), "FILE also write a JSON report to FILE");
         ("--max-wall-s", Arg.Float (some max_wall_s), "S exit 2 if total wall-clock exceeds S s");
         ("--max-rss-mb", Arg.Float (some max_rss_mb), "M exit 2 if peak RSS (VmHWM) exceeds M MB");

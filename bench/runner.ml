@@ -10,9 +10,8 @@
      is an independent, seed-deterministic job whose results land in
      point order, so tables and records are identical at any --jobs.
    - [Huge] and [Giant] run few very large points one at a time on the
-     main domain and hand the pool to the protocol itself, which shards
-     each round across domains via [Netsim.Net.run_round] (bit-identical
-     at any --jobs by the run_round contract).
+     main domain, whatever --jobs says: each protocol round is a
+     sequential loop over its parties.
 
    The tier also picks the network a row builds through [net]: the
    synchronous transport, or the adversarially scheduled event transport
@@ -71,17 +70,11 @@ let async_cfg =
 
 let async_deadline = Netsim.Event_net.span async_cfg
 
-(* One job's view of the runner: the tier it runs under, the pool its
-   protocol may shard rounds over, and the records and failed checks its
-   [measure] calls produced (newest first). *)
-type ctx = {
-  tier : tier;
-  pool : Util.Pool.t option;
-  mutable runs : (Io.run * Costs.totals) list;
-  mutable failed : int;
-}
+(* One job's view of the runner: the tier it runs under, and the records
+   and failed checks its [measure] calls produced (newest first). *)
+type ctx = { tier : tier; mutable runs : (Io.run * Costs.totals) list; mutable failed : int }
 
-let new_ctx tier = { tier; pool = !pool; runs = []; failed = 0 }
+let new_ctx tier = { tier; runs = []; failed = 0 }
 
 (* A network of [n] parties on the tier's transport; [seed] keys the
    async delivery schedule. *)

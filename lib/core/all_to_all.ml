@@ -55,12 +55,10 @@ let cost_spec ~variant ~k ~idsum ~len ~n ~lambda =
     max_locality = None;
   }
 
-let run ?pool ?deadline net rng params ~variant ~participants ~input ~corruption ~adv =
-  (* Input thunks may consume randomness; evaluate once per participant so
-     the value sent, echoed and placed in views is identical.  The cache is
-     filled on the calling domain before any sharded round (thunks may pull
-     from the shared RNG) and is read-only afterwards, so party steps can
-     consult it from worker domains. *)
+let run ?pool:_ ?deadline net rng params ~variant ~participants ~input ~corruption ~adv =
+  (* Input thunks may consume randomness; evaluate once per participant,
+     in member order before the first round, so the value sent, echoed
+     and placed in views is identical. *)
   let input =
     let cache = Hashtbl.create 16 in
     fun i ->
@@ -80,22 +78,21 @@ let run ?pool ?deadline net rng params ~variant ~participants ~input ~corruption
   (* Distribution round (both variants): everyone sends its (claimed) input
      to every other participant. *)
   let distribute () =
-    let (_ : unit list) =
-      Netsim.Net.run_round ?pool net ~parties:members (fun p ->
-          let src = Netsim.Net.Party.id p in
-          let value = input src in
-          List.iter
-            (fun dst ->
-              if dst <> src && not (should_drop ~src ~dst) then begin
-                let v =
-                  match adv.input_value with
-                  | Some f when is_corrupt src -> f ~me:src ~dst
-                  | _ -> value
-                in
-                Netsim.Net.Party.send p ~dst v
-              end)
-            members)
-    in
+    List.iter
+      (fun src ->
+        let value = input src in
+        List.iter
+          (fun dst ->
+            if dst <> src && not (should_drop ~src ~dst) then begin
+              let v =
+                match adv.input_value with
+                | Some f when is_corrupt src -> f ~me:src ~dst
+                | _ -> value
+              in
+              Netsim.Net.send net ~src ~dst v
+            end)
+          members)
+      members;
     Netsim.Net.step_until_quiet ?deadline net
   in
   match variant with
@@ -114,17 +111,17 @@ let run ?pool ?deadline net rng params ~variant ~participants ~input ~corruption
     let index_of = Hashtbl.create n_members in
     Array.iteri (fun k m -> Hashtbl.replace index_of m k) member_arr;
     distribute ();
-    (* Collection + echo round, one sharded pass: each party drains its
+    (* Collection + echo round, one pass: each party drains its
        per-sender queues into its received row, then broadcasts the row as
        one batched echo message. *)
-    let rows =
-      Netsim.Net.run_round ?pool net ~parties:members (fun p ->
-          let i = Netsim.Net.Party.id p in
+    let row_arr =
+      Array.map
+        (fun i ->
           let row =
             Array.map
               (fun sender ->
                 if sender = i then Some (input sender)
-                else Netsim.Net.Party.recv_one p ~src:sender)
+                else Netsim.Net.recv_one net ~dst:i ~src:sender)
               member_arr
           in
           let w = Util.Codec.writer () in
@@ -136,11 +133,11 @@ let run ?pool ?deadline net rng params ~variant ~participants ~input ~corruption
           List.iter
             (fun dst ->
               if dst <> i && not (should_drop ~src:i ~dst) then
-                Netsim.Net.Party.send p ~dst payload)
+                Netsim.Net.send net ~src:i ~dst payload)
             members;
           row)
+        member_arr
     in
-    let row_arr = Array.of_list rows in
     Netsim.Net.step_until_quiet ?deadline net;
     (* Zero-copy echo decode: the presence bitmap and every echoed value
        stay as views into the received payload (which is immutable once
@@ -163,8 +160,8 @@ let run ?pool ?deadline net rng params ~variant ~participants ~input ~corruption
       | exception Util.Codec.Decode_error _ -> None
     in
     (* Output round: compare every echo against the own row, per party. *)
-    Netsim.Net.run_round ?pool net ~parties:members (fun p ->
-        let i = Netsim.Net.Party.id p in
+    List.map
+      (fun i ->
         let mine_row = row_arr.(Hashtbl.find index_of i) in
         let echoes =
           List.filter_map
@@ -172,7 +169,7 @@ let run ?pool ?deadline net rng params ~variant ~participants ~input ~corruption
               if j = i then None
               else
                 Some
-                  (match Netsim.Net.Party.recv_one p ~src:j with
+                  (match Netsim.Net.recv_one net ~dst:i ~src:j with
                   | Some payload -> decode_echo payload
                   | None -> None))
             members
@@ -205,25 +202,25 @@ let run ?pool ?deadline net rng params ~variant ~participants ~input ~corruption
         done;
         if !ok && List.length !view = n_members then (i, Outcome.Output !view)
         else (i, Outcome.Abort (Outcome.Equivocation "all-to-all naive mismatch")))
+      members
   | Fingerprinted ->
     (* Round 1: everyone sends their input to every other participant. *)
     distribute ();
-    let views_in_order =
-      Netsim.Net.run_round ?pool net ~parties:members (fun p ->
-          let i = Netsim.Net.Party.id p in
-          List.map
-            (fun src ->
-              if src = i then (src, Some (input src))
-              else (src, Netsim.Net.Party.recv_one p ~src))
-            members)
-    in
     let views = Hashtbl.create 16 in
-    List.iter2 (fun i view -> Hashtbl.replace views i view) members views_in_order;
+    List.iter
+      (fun i ->
+        Hashtbl.replace views i
+          (List.map
+             (fun src ->
+               if src = i then (src, Some (input src))
+               else (src, Netsim.Net.recv_one net ~dst:i ~src))
+             members))
+      members;
     (* Round 2: pairwise equality over the concatenated views, a party's
        view being its own input plus what it heard from each other
        participant ([None] = silence). *)
     let verdicts =
-      Equality.pairwise ?pool ?deadline net rng params ~members
+      Equality.pairwise ?deadline net rng params ~members
         ~value:(Equality.view_value (Hashtbl.find views))
         ~corruption ~adv:adv.eq
     in

@@ -16,13 +16,7 @@
 
     Domain-safety: the [input i] memo and the per-receiver echo tables
     are per-call; nothing is cached at module level, so concurrent runs
-    on distinct networks (see {!Netsim.Net}) are safe.  With [~pool] the
-    per-party distribution, collection/echo, and output rounds run
-    through {!Netsim.Net.run_round}, sharding parties across domains;
-    all [input] thunks are forced on the calling domain first (they may
-    consume shared randomness), and the adversary callbacks must be pure
-    (all of {!Attacks}' are).  Output is bit-identical at any domain
-    count. *)
+    on distinct networks (see {!Netsim.Net}) are safe. *)
 
 type variant = Naive | Fingerprinted
 
@@ -38,7 +32,11 @@ val honest_adv : adv
 (** [run net rng params ~variant ~participants ~input ~corruption ~adv] —
     each participant either outputs the full vector of participant inputs
     (as [(id, value)] sorted by id) or aborts.  Result is ordered like
-    [participants]. *)
+    [participants].
+
+    [?pool] is accepted and ignored: every round runs on the calling
+    domain.  It remains only so the session benchmark's callers still
+    build; new code should not pass it. *)
 val run :
   ?pool:Util.Pool.t ->
   ?deadline:int ->

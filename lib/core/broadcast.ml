@@ -67,9 +67,8 @@ let cost_spec ~variant ~n ~lambda ~len =
     max_locality = None;
   }
 
-let run ?pool ?deadline net rng params ~variant ~sender ~value ~corruption ~adv =
+let run ?deadline net rng params ~variant ~sender ~value ~corruption ~adv =
   let n = Netsim.Net.n net in
-  let all_parties = List.init n (fun i -> i) in
   let is_corrupt i = Netsim.Corruption.is_corrupted corruption i in
   let should_drop ~src ~dst =
     is_corrupt src && match adv.drop with Some f -> f ~src ~dst | None -> false
@@ -86,70 +85,56 @@ let run ?pool ?deadline net rng params ~variant ~sender ~value ~corruption ~adv 
     end
   done;
   Netsim.Net.step_until_quiet ?deadline net;
-  (* Per-party collection of the sender's value shards across domains:
-     each party only drains its own inbox. *)
-  let received = Array.make n None in
-  let collected =
-    Netsim.Net.run_round ?pool net ~parties:all_parties (fun p ->
-        let i = Netsim.Net.Party.id p in
+  let received =
+    Array.init n (fun i ->
         if i = sender then Some value
         else
-          match Netsim.Net.Party.recv_from p ~src:sender with
+          match Netsim.Net.recv_from net ~dst:i ~src:sender with
           | [ v ] -> Some v
           | _ -> None)
   in
-  List.iteri (fun i v -> received.(i) <- v) collected;
+  (* Step 3, the output step, for either echo encoding: a party that
+     heard fewer than n - 1 echoes, or an echo that does not match what
+     it received, aborts. *)
+  let aborted = Array.make n false in
+  let check_echoes same =
+    for i = 0 to n - 1 do
+      let msgs = Netsim.Net.recv net ~dst:i in
+      if
+        List.length msgs < n - 1
+        || List.exists (fun (_, payload) -> not (same received.(i) payload)) msgs
+      then aborted.(i) <- true
+    done
+  in
   (* Step 2: verification step — every party tells every other what it
      received (full value or fingerprint). *)
-  let aborted = Array.make n false in
-  let mark_aborted verdicts =
-    List.iteri (fun i bad -> if bad then aborted.(i) <- true) verdicts
-  in
   (match variant with
   | Naive ->
-    (* The naive echo consumes no randomness, so both the fan-out and the
-       output check run through the sharded driver. *)
-    let (_ : unit list) =
-      Netsim.Net.run_round ?pool net ~parties:all_parties (fun p ->
-          let i = Netsim.Net.Party.id p in
-          let honest_payload = encode_echo_naive received.(i) in
-          for dst = 0 to n - 1 do
-            if dst <> i && not (should_drop ~src:i ~dst) then begin
-              let payload =
-                match adv.echo_value with
-                | Some f when is_corrupt i -> encode_echo_naive (Some (f ~me:i ~dst (Option.value received.(i) ~default:Bytes.empty)))
-                | _ -> honest_payload
-              in
-              Netsim.Net.Party.send p ~dst payload
-            end
-          done)
-    in
+    for i = 0 to n - 1 do
+      let honest_payload = encode_echo_naive received.(i) in
+      for dst = 0 to n - 1 do
+        if dst <> i && not (should_drop ~src:i ~dst) then begin
+          let payload =
+            match adv.echo_value with
+            | Some f when is_corrupt i -> encode_echo_naive (Some (f ~me:i ~dst (Option.value received.(i) ~default:Bytes.empty)))
+            | _ -> honest_payload
+          in
+          Netsim.Net.send net ~src:i ~dst payload
+        end
+      done
+    done;
     Netsim.Net.step_until_quiet ?deadline net;
-    (* Step 3: output step. *)
-    mark_aborted
-      (Netsim.Net.run_round ?pool net ~parties:all_parties (fun p ->
-           let i = Netsim.Net.Party.id p in
-           let mine = received.(i) in
-           let msgs = Netsim.Net.Party.recv p in
-           let bad = ref (List.length msgs < n - 1) in
-           List.iter
-             (fun (_, payload) ->
-               match decode_echo_naive payload with
-               | None -> bad := true
-               | Some theirs ->
-                 let same =
-                   match (mine, theirs) with
-                   | Some a, Some b -> Util.Codec.view_equal_bytes b a
-                   | None, None -> true
-                   | _ -> false
-                 in
-                 if not same then bad := true)
-             msgs;
-           !bad))
+    check_echoes (fun mine payload ->
+        match decode_echo_naive payload with
+        | None -> false
+        | Some theirs -> (
+          match (mine, theirs) with
+          | Some a, Some b -> Util.Codec.view_equal_bytes b a
+          | None, None -> true
+          | _ -> false))
   | Fingerprinted ->
     let t = Params.fingerprint_t params ~msg_len:(max 1 (Bytes.length value)) in
-    (* The echo fan-out draws fingerprint keys from the shared [rng], so
-       it must stay on the calling domain in party order. *)
+    (* The echo fan-out draws fingerprint keys from [rng] in party order. *)
     for i = 0 to n - 1 do
       let fp = Option.map (fun v -> Crypto.Fingerprint.make rng ~t v) received.(i) in
       let honest_payload = encode_echo_fp fp in
@@ -167,26 +152,14 @@ let run ?pool ?deadline net rng params ~variant ~sender ~value ~corruption ~adv 
       done
     done;
     Netsim.Net.step_until_quiet ?deadline net;
-    mark_aborted
-      (Netsim.Net.run_round ?pool net ~parties:all_parties (fun p ->
-           let i = Netsim.Net.Party.id p in
-           let mine = received.(i) in
-           let msgs = Netsim.Net.Party.recv p in
-           let bad = ref (List.length msgs < n - 1) in
-           List.iter
-             (fun (_, payload) ->
-               match decode_echo_fp payload with
-               | None -> bad := true
-               | Some theirs ->
-                 let same =
-                   match (mine, theirs) with
-                   | Some v, Some fp -> Crypto.Fingerprint.check fp v
-                   | None, None -> true
-                   | _ -> false
-                 in
-                 if not same then bad := true)
-             msgs;
-           !bad)));
+    check_echoes (fun mine payload ->
+        match decode_echo_fp payload with
+        | None -> false
+        | Some theirs -> (
+          match (mine, theirs) with
+          | Some v, Some fp -> Crypto.Fingerprint.check fp v
+          | None, None -> true
+          | _ -> false)));
   Array.init n (fun i ->
       if aborted.(i) then Outcome.Abort (Outcome.Equivocation "broadcast echo mismatch")
       else

@@ -31,16 +31,8 @@ val honest_adv : adv
 
 (** [run net rng params ~variant ~sender ~value ~corruption ~adv] — returns
     the per-party outcome: the broadcast value or an abort.  The sender's
-    own outcome is its input value (it trivially "receives" it).
-
-    With [~pool], the receive collection, the {!Naive} echo fan-out, and
-    both variants' output checks shard across domains via
-    {!Netsim.Net.run_round}; the {!Fingerprinted} echo fan-out stays on
-    the calling domain because it draws fingerprint keys from the shared
-    [rng].  Results and accounting are bit-identical at any domain count;
-    adversary callbacks must be pure (all of {!Attacks}' are). *)
+    own outcome is its input value (it trivially "receives" it). *)
 val run :
-  ?pool:Util.Pool.t ->
   ?deadline:int ->
   Netsim.Net.t ->
   Util.Prng.t ->

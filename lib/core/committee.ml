@@ -38,7 +38,7 @@ let cost_spec ~n ~lambda =
     max_locality = Some (Mul [ Ge (Var "claims", Const 1); Sub (n, Const 1) ]);
   }
 
-let run ?pool ?deadline ?obs net rng params ~corruption ~adv =
+let run ?deadline ?obs net rng params ~corruption ~adv =
   let n = Netsim.Net.n net in
   let p = Params.committee_prob params in
   let bound = Params.committee_bound params in
@@ -71,27 +71,19 @@ let run ?pool ?deadline ?obs net rng params ~corruption ~adv =
       done
   done;
   Netsim.Net.step_until_quiet ?deadline net;
-  (* Step 3: collect views, abort on too many claims.  Per-party inbox
-     drains are independent, so the collection shards across domains.
-     Only the active frontier is stepped; a party nobody claimed to sees
-     the empty view it would have computed anyway, and the claim bound is
-     >= 1 (ceil of a positive number) so the empty view never aborts —
-     the restriction is exact.  Results carry their party id because the
-     frontier is no longer positional. *)
+  (* Step 3: collect views, abort on too many claims.  Only the active
+     frontier is stepped; a party nobody claimed to sees the empty view
+     it would have computed anyway, and the claim bound is >= 1 (ceil of
+     a positive number) so the empty view never aborts — the restriction
+     is exact. *)
   let views = Array.make n [] in
   let aborted = Array.make n false in
-  let collected =
-    Netsim.Net.run_round ?pool net
-      ~parties:(Netsim.Net.active_parties net)
-      (fun p ->
-        ( Netsim.Net.Party.id p,
-          List.map fst (Netsim.Net.Party.recv p) |> List.sort_uniq compare ))
-  in
   List.iter
-    (fun (i, senders) ->
+    (fun i ->
+      let senders = List.map fst (Netsim.Net.recv net ~dst:i) |> List.sort_uniq compare in
       views.(i) <- senders;
       if List.length senders >= bound then aborted.(i) <- true)
-    collected;
+    (Netsim.Net.active_parties net);
   (* Step 4: pairwise equality over committee views. *)
   View_check.run ?deadline
     ?obs:(Option.map (fun o -> Analysis.Costs.Obs.scoped o "vc") obs)

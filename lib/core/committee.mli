@@ -24,16 +24,9 @@ val honest_adv : adv
     including itself if elected), or an abort. *)
 type view = { committee : int list; elected : bool }
 
-(** With [~pool], the step-3 view collection (each party draining and
-    deduplicating its claim inbox) shards across domains via
-    {!Netsim.Net.run_round}; coins, claims, and the equality phase stay
-    on the calling domain.  Output is bit-identical at any domain
-    count.
-
-    [?obs] records cost-spec observables: [claims] (number of claimant
+(** [?obs] records cost-spec observables: [claims] (number of claimant
     parties) plus View_check's observables under prefix [vc]. *)
 val run :
-  ?pool:Util.Pool.t ->
   ?deadline:int ->
   ?obs:Analysis.Costs.Obs.t ->
   Netsim.Net.t ->

@@ -68,7 +68,7 @@ let cost_spec ~k ~idsum ~depth ~inbits ~outbytes ~recipients ~n ~lambda =
     max_locality = None;
   }
 
-let run ?pool ?deadline net rng params ~participants ~private_input ~depth ~eval ~corruption ~adv =
+let run ?deadline net rng params ~participants ~private_input ~depth ~eval ~corruption ~adv =
   let members = List.sort_uniq compare participants in
   let is_corrupt i = Netsim.Corruption.is_corrupted corruption i in
   (* Evaluate each party's input exactly once: input thunks may consume
@@ -90,7 +90,7 @@ let run ?pool ?deadline net rng params ~participants ~private_input ~depth ~eval
   in
   (* Phase 1: simultaneous broadcast of the round-1 messages. *)
   let sb_results =
-    All_to_all.run ?pool ?deadline net rng params ~variant:All_to_all.Fingerprinted
+    All_to_all.run ?deadline net rng params ~variant:All_to_all.Fingerprinted
       ~participants:members
       ~input:(fun i -> round1_message params ~depth ~me:i ~input:(effective_input i))
       ~corruption ~adv:adv.sb
@@ -108,57 +108,51 @@ let run ?pool ?deadline net rng params ~participants ~private_input ~depth ~eval
     match List.assoc_opt i result.private_outputs with Some b -> b | None -> Bytes.empty
   in
   (* Phase 2: partial decryptions toward every recipient of a private
-     output.  Rng-free (filler-based carriers), so the per-sender fan-out
-     shards through run_round; commit order (ascending sender id) matches
-     the previous sequential List.iter over the sorted member list. *)
-  ignore
-    (Netsim.Net.run_round ?pool net ~parties:members (fun p ->
-         let sender = Netsim.Net.Party.id p in
-         if Hashtbl.find sb_ok sender then
-           List.iter
-             (fun recipient ->
-               if recipient <> sender then begin
-                 let out = private_for recipient in
-                 if Bytes.length out > 0 then begin
-                   let dropped =
-                     is_corrupt sender
-                     &&
-                     match adv.drop_partial with
-                     | Some f -> f ~me:sender ~dst:recipient
-                     | None -> false
-                   in
-                   if not dropped then begin
-                     let tampered =
-                       is_corrupt sender
-                       &&
-                       match adv.tamper_partial with
-                       | Some f -> f ~me:sender ~dst:recipient
-                       | None -> false
-                     in
-                     let msg =
-                       partial_dec_message params ~depth ~me:sender ~dst:recipient
-                         ~out_bytes:(Bytes.length out) ~tampered
-                     in
-                     Netsim.Net.Party.send p ~dst:recipient msg
-                   end
-                 end
-               end)
-             members)
-      : unit list);
+     output, each sender in ascending member order. *)
+  List.iter
+    (fun sender ->
+      if Hashtbl.find sb_ok sender then
+        List.iter
+          (fun recipient ->
+            if recipient <> sender then begin
+              let out = private_for recipient in
+              if Bytes.length out > 0 then begin
+                let dropped =
+                  is_corrupt sender
+                  &&
+                  match adv.drop_partial with
+                  | Some f -> f ~me:sender ~dst:recipient
+                  | None -> false
+                in
+                if not dropped then begin
+                  let tampered =
+                    is_corrupt sender
+                    &&
+                    match adv.tamper_partial with
+                    | Some f -> f ~me:sender ~dst:recipient
+                    | None -> false
+                  in
+                  let msg =
+                    partial_dec_message params ~depth ~me:sender ~dst:recipient
+                      ~out_bytes:(Bytes.length out) ~tampered
+                  in
+                  Netsim.Net.send net ~src:sender ~dst:recipient msg
+                end
+              end
+            end)
+          members)
+    members;
   Netsim.Net.step_until_quiet ?deadline net;
-  (* Phase 3: recipients verify the proofs and assemble their outputs.
-     Pure per-recipient collection (each drains only its own inbox), so it
-     shards too; run_round returns results in member-list order, exactly
-     the List.map it replaces. *)
-  Netsim.Net.run_round ?pool net ~parties:members (fun p ->
-      let i = Netsim.Net.Party.id p in
+  (* Phase 3: recipients verify the proofs and assemble their outputs. *)
+  List.map
+    (fun i ->
       if not (Hashtbl.find sb_ok i) then
         (i, Outcome.Abort (Outcome.Upstream "round-1 broadcast"))
       else begin
         let out = private_for i in
         if Bytes.length out = 0 then (i, Outcome.Output (result.public_output, Bytes.empty))
         else begin
-          let msgs = Netsim.Net.Party.recv p in
+          let msgs = Netsim.Net.recv net ~dst:i in
           let senders = List.sort_uniq compare (List.map fst msgs) in
           let expected = List.filter (fun j -> j <> i) members in
           if List.exists (fun j -> not (List.mem j senders)) expected then
@@ -174,3 +168,4 @@ let run ?pool ?deadline net rng params ~participants ~private_input ~depth ~eval
           end
         end
       end)
+    members

@@ -31,13 +31,7 @@
     Domain-safety: the input memo and the broadcast-consistency table are
     per-call; a run touches only the network/RNG/PKE instance it is
     handed, so jobs that own those (see {!Netsim.Net}) can run this
-    concurrently.
-
-    Parallelism: with [~pool] the round-1 broadcast, the partial
-    decryption fan-out, and the per-recipient verification all shard
-    through [Netsim.Net.run_round] (the fan-out and collection are
-    rng-free); results and accounting are byte-identical at any jobs
-    count. *)
+    concurrently. *)
 
 type result = {
   public_output : bytes;
@@ -67,7 +61,6 @@ val honest_adv : adv
     On success each participant receives
     [(public_output, its private output or empty)]. *)
 val run :
-  ?pool:Util.Pool.t ->
   ?deadline:int ->
   Netsim.Net.t ->
   Util.Prng.t ->

@@ -81,37 +81,11 @@ let write_view w view =
 (* One scratch writer per call: its capacity grows to the largest view
    once, and each member's encoding is one copy out of it, instead of a
    fresh [Buffer] doubling its way to every (possibly 285 KB) view.
-   [pairwise] calls [value] only on the calling domain, so the scratch
-   has a single owner. *)
+   [pairwise] calls [value] once per member, one call at a time, so the
+   scratch has a single owner. *)
 let view_value view_of =
   let scratch = Util.Codec.writer () in
   fun i -> Util.Codec.encode_into scratch write_view (view_of i)
-
-(* Run [body st pos] for every [pos] in [0, n): chunked across the pool
-   when one is supplied, plain loop otherwise.  [init ()] builds one
-   per-chunk scratch state (e.g. a reusable [Codec.writer]) owned by
-   exactly one domain for the chunk's lifetime — the Util.Pool scratch
-   discipline.  [body] must otherwise be pure per position (it may write
-   to per-position slots of caller-owned arrays — the Netsim.Net
-   domain-safety discipline), so chunking is invisible. *)
-let par_positions pool ~n ~init body =
-  match pool with
-  | Some p when n > 1 ->
-    let nchunks = max 1 (min n ((Util.Pool.num_domains p + 1) * 8)) in
-    let chunks = Array.init nchunks (fun c -> (c * n / nchunks, (c + 1) * n / nchunks)) in
-    let (_ : unit array) =
-      Util.Pool.map_jobs p chunks (fun (lo, hi) ->
-          let st = init () in
-          for pos = lo to hi - 1 do
-            body st pos
-          done)
-    in
-    ()
-  | _ ->
-    let st = init () in
-    for pos = 0 to n - 1 do
-      body st pos
-    done
 
 (* Round-1 encodings of honest messages, keyed by selection bitmask. *)
 module Sel_table = Hashtbl.Make (struct
@@ -121,23 +95,11 @@ module Sel_table = Hashtbl.Make (struct
   let hash = Hashtbl.hash
 end)
 
-(* One chunk's round-1 scratch: a reusable writer, the sampler's
-   permutation and selection buffers, and the encodings cached for the
-   residue table [owner] (see [pairwise]). *)
-type round1_scratch = {
-  writer : Util.Codec.writer;
-  perm : int array;
-  sel : int array;
-  mutable owner : int array;
-  encoded : bytes Sel_table.t;
-}
-
-let pairwise ?pool ?deadline net rng params ~members ~value ~corruption ~adv =
+let pairwise ?deadline net rng params ~members ~value ~corruption ~adv =
   let members_arr = Array.of_list members in
   (* Callers often encode large views in [value]; evaluate it once per
-     member, here on the calling domain, before any parallel phase reads
-     the results (they are consulted again for sizing, table sharing and
-     tamper-recovery checks). *)
+     member (the results are consulted again for sizing, table sharing
+     and tamper-recovery checks). *)
   let values = Array.map value members_arr in
   let k = Array.length members_arr in
   let net_n = Netsim.Net.n net in
@@ -163,14 +125,13 @@ let pairwise ?pool ?deadline net rng params ~members ~value ~corruption ~adv =
      [Bytes.equal] — so an honest run (every view the same) sweeps Horner
      once instead of once per member, and no input costs more sweeps than
      members.  The tables are read-only from here on — the tamper path
-     below copies the selected residues into a fresh record.  Rng-free;
-     each sweep shards its primes over the pool when it is large enough. *)
+     below copies the selected residues into a fresh record. *)
   let member_residues = Array.make k [||] in
   Array.iteri
     (fun idx v ->
       member_residues.(idx) <-
         (if idx > 0 && Bytes.equal v values.(idx - 1) then member_residues.(idx - 1)
-         else Crypto.Fingerprint.residues_many ?pool v crs_primes))
+         else Crypto.Fingerprint.residues_many v crs_primes))
     values;
   (* Enumerate pairs in round-1 send order (sender-major, exactly the
      order the sequential loop used); [posmat] recovers a pair's position
@@ -190,9 +151,8 @@ let pairwise ?pool ?deadline net rng params ~members ~value ~corruption ~adv =
         members_arr)
     members_arr;
   let npairs = !npairs in
-  (* Round 1: each pair's fingerprint, built in parallel, committed in
-     pair order.  Bits on the wire are a pure function of (seed, key), so
-     the transcript is identical at any jobs count. *)
+  (* Round 1: each pair's fingerprint, built and sent in pair order.
+     Bits on the wire are a pure function of (seed, key). *)
   let payloads = Array.make npairs Bytes.empty in
   (* Selections are remembered across the two rounds: [Prng.derive] reads
      the parent without advancing it and nothing draws from [rng] between
@@ -205,16 +165,14 @@ let pairwise ?pool ?deadline net rng params ~members ~value ~corruption ~adv =
      the dominant kernel cost at k = 2048.  In the t > 128 corner the
      store is skipped and round 2 re-derives the pair's substream — a
      pure function of (seed, key), so the transcript is unchanged
-     either way.  Pool jobs write disjoint slices (the Util.Pool
-     discipline). *)
+     either way. *)
   let sel_store = if pool_size <= 256 then Some (Bytes.create (npairs * t)) else None in
   (* The pair's substream is keyed by the ordered pair of party ids — a
-     pure function of the parent stream position and the key, so jobs can
-     derive it in any scheduling order and produce identical transcripts.
-     [sample_into] writes the pair's sorted t-subset into the chunk's
-     reusable [sel] scratch: the same draws as the list-returning
-     sampler, none of its per-pair array, list and polymorphic-sort
-     churn. *)
+     pure function of the parent stream position and the key, so round 2
+     can re-derive it without drawing from [rng].  [sample_into] writes
+     the pair's sorted t-subset into a reusable [sel] scratch: the same
+     draws as the list-returning sampler, none of its per-pair array,
+     list and polymorphic-sort churn. *)
   let select_pair ~perm ~sel i j =
     let child = Util.Prng.derive rng ~key:((i * net_n) + j) in
     Util.Prng.sample_into child ~n:pool_size ~k:t ~scratch:perm ~dst:sel ~pos:0
@@ -226,15 +184,14 @@ let pairwise ?pool ?deadline net rng params ~members ~value ~corruption ~adv =
      round at n = 512 sends 130,816 messages that take 3,432 distinct
      values (every 7-subset of 14 primes).  [sel] is sorted, so a
      selection is its set, and while [pool_size <= 62] the set packs
-     into one int bitmask.  Each chunk then keeps its encodings by
+     into one int bitmask.  The round then keeps its encodings by
      bitmask for the table of the sender it is on ([owner]), and every
      pair with a cached selection sends the very same bytes.  Pairs run
      sender-major, and a residue-table group is a run of consecutive
-     members, so a chunk meets each group in one run: clearing the cache
-     when the table changes gives one cache per group.  Above 62 pool
-     primes each pair encodes its own message, as before.  The cache is
-     chunk scratch, owned by one domain (the Util.Pool discipline);
-     shared bytes are safe because delivered payloads are read-only. *)
+     members, so the round meets each group in one run: clearing the
+     cache when the table changes gives one cache per group.  Above 62
+     pool primes each pair encodes its own message, as before.  Shared
+     bytes are safe because delivered payloads are read-only. *)
   let cacheable = pool_size <= 62 in
   (* Streamed straight from the CRS tables — no fp record, no
      per-selection arrays — and byte-identical to the record path, so
@@ -252,66 +209,56 @@ let pairwise ?pool ?deadline net rng params ~members ~value ~corruption ~adv =
     done;
     Util.Codec.contents w
   in
-  let round1_scratch () =
-    { writer = Util.Codec.writer ();
-      perm = Array.make pool_size 0;
-      sel = Array.make t 0;
-      owner = [||];
-      encoded = Sel_table.create (if cacheable then 64 else 1)
-    }
-  in
-  par_positions pool ~n:npairs ~init:round1_scratch
-    (fun sc pos ->
-      let code = pairs.(pos) in
-      let idx = code / k and jdx = code mod k in
-      let i = members_arr.(idx) and j = members_arr.(jdx) in
-      let sel = sc.sel in
-      select_pair ~perm:sc.perm ~sel i j;
-      (match sel_store with
-      | Some store ->
-        let off = pos * t in
-        for s = 0 to t - 1 do
-          Bytes.unsafe_set store (off + s) (Char.unsafe_chr sel.(s))
-        done
-      | None -> ());
-      let res = member_residues.(idx) in
-      payloads.(pos) <-
-        (match adv.tamper_fp with
-        | Some f when is_corrupt i ->
-          (* Tamper path: materialize the record so the adversary can
-             mangle it, then encode through the chunk's scratch writer.
-             It neither reads nor fills the cache. *)
-          let fp =
-            { Crypto.Fingerprint.primes = Array.map (fun s -> crs_primes.(s)) sel;
-              residues = Array.map (fun s -> res.(s)) sel
-            }
-          in
-          Util.Codec.encode_into sc.writer Crypto.Fingerprint.encode (f ~me:i ~dst:j fp)
-        | _ when not cacheable -> encode_honest sc.writer res sel
-        | _ -> (
-          if sc.owner != res then begin
-            sc.owner <- res;
-            Sel_table.clear sc.encoded
-          end;
-          let mask = ref 0 in
-          for s = 0 to t - 1 do
-            mask := !mask lor (1 lsl sel.(s))
-          done;
-          match Sel_table.find sc.encoded !mask with
-          | b -> b
-          | exception Not_found ->
-            let b = encode_honest sc.writer res sel in
-            Sel_table.add sc.encoded !mask b;
-            b)));
+  (* Round scratch: one writer, the sampler's permutation and selection
+     buffers, and the encodings cached for the residue table [owner]. *)
+  let writer = Util.Codec.writer () in
+  let perm = Array.make pool_size 0 and sel = Array.make t 0 in
+  let owner = ref [||] and encoded = Sel_table.create (if cacheable then 64 else 1) in
   for pos = 0 to npairs - 1 do
     let code = pairs.(pos) in
-    Netsim.Net.send net ~src:members_arr.(code / k) ~dst:members_arr.(code mod k)
-      payloads.(pos)
+    let idx = code / k and jdx = code mod k in
+    let i = members_arr.(idx) and j = members_arr.(jdx) in
+    select_pair ~perm ~sel i j;
+    (match sel_store with
+    | Some store ->
+      let off = pos * t in
+      for s = 0 to t - 1 do
+        Bytes.unsafe_set store (off + s) (Char.unsafe_chr sel.(s))
+      done
+    | None -> ());
+    let res = member_residues.(idx) in
+    payloads.(pos) <-
+      (match adv.tamper_fp with
+      | Some f when is_corrupt i ->
+        (* Tamper path: materialize the record so the adversary can
+           mangle it, then encode through the scratch writer.  It
+           neither reads nor fills the cache. *)
+        let fp =
+          { Crypto.Fingerprint.primes = Array.map (fun s -> crs_primes.(s)) sel;
+            residues = Array.map (fun s -> res.(s)) sel
+          }
+        in
+        Util.Codec.encode_into writer Crypto.Fingerprint.encode (f ~me:i ~dst:j fp)
+      | _ when not cacheable -> encode_honest writer res sel
+      | _ -> (
+        if !owner != res then begin
+          owner := res;
+          Sel_table.clear encoded
+        end;
+        let mask = ref 0 in
+        for s = 0 to t - 1 do
+          mask := !mask lor (1 lsl sel.(s))
+        done;
+        match Sel_table.find encoded !mask with
+        | b -> b
+        | exception Not_found ->
+          let b = encode_honest writer res sel in
+          Sel_table.add encoded !mask b;
+          b));
+    Netsim.Net.send net ~src:i ~dst:j payloads.(pos)
   done;
   Netsim.Net.step_until_quiet ?deadline net;
-  (* Round 2: receivers check and answer one bit.  Draining the inboxes
-     touches shared network state, so it stays sequential; the residue
-     comparisons (and tamper-recovery Horner re-checks) parallelize. *)
+  (* Round 2: receivers check and answer one bit. *)
   let incoming = Array.make npairs None in
   for pos = 0 to npairs - 1 do
     let code = pairs.(pos) in
@@ -373,43 +320,41 @@ let pairwise ?pool ?deadline net rng params ~members ~value ~corruption ~adv =
   let sends_honestly i =
     match adv.tamper_fp with Some _ -> not (is_corrupt i) | None -> true
   in
-  let round2_scratch () = (Array.make pool_size 0, Array.make t 0) in
-  par_positions pool ~n:npairs ~init:round2_scratch
-    (fun (perm, sel) pos ->
-      let code = pairs.(pos) in
-      let idx = code / k and jdx = code mod k in
-      let i = members_arr.(idx) and j = members_arr.(jdx) in
-      let verdict =
-        match incoming.(pos) with
-        | Some b ->
-          let res = member_residues.(jdx) in
-          let sent = payloads.(pos) in
-          (member_residues.(idx) == res && sends_honestly i
-          && (b == sent || Bytes.equal b sent))
-          || begin
-            reload_selection ~perm ~sel pos i j;
-            verify_fast b sel res
-            || (match decode_fp b with
-               | Some fp -> (
-                 (* The expected primes: the pair's cached selection.  Same
-                    primes: compare residues directly; different primes (a
-                    tampered message): fall back to recompute. *)
-                 let expected = Array.map (fun s -> crs_primes.(s)) sel in
-                 if fp.Crypto.Fingerprint.primes = expected then
-                   fp.Crypto.Fingerprint.residues = Array.map (fun s -> res.(s)) sel
-                 else Crypto.Fingerprint.check fp values.(jdx))
-               | None -> false)
-          end
-        | None -> false
-      in
-      verdicts.(pos) <- verdict;
-      reported.(pos) <-
-        (match adv.lie_verdict with
-        | Some f when is_corrupt j -> f ~me:j ~dst:i verdict
-        | _ -> verdict));
-  (* Commit in receiver-major order — the order the sequential loop sent
-     verdict bits in — and apply the verdict bookkeeping on the way.
-     The two 1-byte verdict payloads are shared across all Θ(k²) sends:
+  for pos = 0 to npairs - 1 do
+    let code = pairs.(pos) in
+    let idx = code / k and jdx = code mod k in
+    let i = members_arr.(idx) and j = members_arr.(jdx) in
+    let verdict =
+      match incoming.(pos) with
+      | Some b ->
+        let res = member_residues.(jdx) in
+        let sent = payloads.(pos) in
+        (member_residues.(idx) == res && sends_honestly i
+        && (b == sent || Bytes.equal b sent))
+        || begin
+          reload_selection ~perm ~sel pos i j;
+          verify_fast b sel res
+          || (match decode_fp b with
+             | Some fp -> (
+               (* The expected primes: the pair's cached selection.  Same
+                  primes: compare residues directly; different primes (a
+                  tampered message): fall back to recompute. *)
+               let expected = Array.map (fun s -> crs_primes.(s)) sel in
+               if fp.Crypto.Fingerprint.primes = expected then
+                 fp.Crypto.Fingerprint.residues = Array.map (fun s -> res.(s)) sel
+               else Crypto.Fingerprint.check fp values.(jdx))
+             | None -> false)
+        end
+      | None -> false
+    in
+    verdicts.(pos) <- verdict;
+    reported.(pos) <-
+      (match adv.lie_verdict with
+      | Some f when is_corrupt j -> f ~me:j ~dst:i verdict
+      | _ -> verdict)
+  done;
+  (* Send the verdict bits in receiver-major order, applying the verdict
+     bookkeeping on the way.  The two 1-byte verdict payloads are shared across all Θ(k²) sends:
      delivered payloads are read-only by convention, so aliasing one
      bytes value from every mailbox is safe and saves an allocation per
      pair. *)

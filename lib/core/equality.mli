@@ -53,7 +53,7 @@ val run :
   m2:bytes ->
   bool * bool
 
-(** [pairwise ?pool net rng params ~members ~value ~corruption ~adv] —
+(** [pairwise net rng params ~members ~value ~corruption ~adv] —
     every unordered pair [{i, j}] of [members] runs [Equality_λ] on their
     values (the lower id sends the fingerprint).  Returns, for each member
     in the order given, [true] iff all tests it participated in accepted.
@@ -85,22 +85,8 @@ val run :
     decoding check would accept it too.  Any other message is decoded
     and checked as before.  Sharing changes no byte, draw or verdict.
 
-    {b Parallelism.}  With [~pool], each residue table's
-    {!Crypto.Fingerprint.residues_many} sweep shards its primes over the
-    pool (above that kernel's work threshold), and the ~|members|²/2
-    per-pair jobs (fingerprint build/encode, residue comparison) are
-    dispatched through [Util.Pool.map_jobs] in chunks.  The encodings
-    cache is per-chunk scratch, so each cache has a single owner, one
-    domain; chunks do not share encodings, so the pooled run sends more
-    distinct objects with the same bytes.  Because every pair's
-    randomness comes from its keyed substream — a pure function of the
-    parent stream position and the key — and sends are committed back in
-    pair order on the calling domain, transcripts and verdicts are
-    byte-identical at any jobs count.
-
     Cost: [O(|members|² · λ · log n)] bits in two rounds. *)
 val pairwise :
-  ?pool:Util.Pool.t ->
   ?deadline:int ->
   Netsim.Net.t ->
   Util.Prng.t ->
@@ -117,8 +103,8 @@ val pairwise :
     sent)] pairs, [None] marking silence, as a varint count, then per
     entry a varint id and an optional length-prefixed byte string.  The
     encodings share one scratch writer owned by the returned function, so
-    each view costs one copy; {!pairwise} calls [value] only on the
-    calling domain, which is what makes that sharing safe. *)
+    each view costs one copy; {!pairwise} calls [value] once per member,
+    one call at a time, which is what makes that sharing safe. *)
 val view_value : (int -> (int * bytes option) list) -> int -> bytes
 
 (** {1 Cost specs} (see {!Analysis.Costs})

@@ -109,7 +109,7 @@ let cost_spec ~len =
     max_locality = Some (Var "graph_degmax");
   }
 
-let run ?pool ?(deadline = 1) ?obs net _rng _params ~graph ~sources ~corruption ~adv =
+let run ?(deadline = 1) ?obs net _rng _params ~graph ~sources ~corruption ~adv =
   if deadline < 1 then invalid_arg "Gossip.run: deadline must be >= 1";
   let n = Netsim.Net.n net in
   if Array.length graph <> n then invalid_arg "Gossip.run: graph arity";
@@ -123,8 +123,7 @@ let run ?pool ?(deadline = 1) ?obs net _rng _params ~graph ~sources ~corruption 
      everything [src] says to [dst] in the round rides in one encoded
      message.  Batches produced by one round are sent at the top of the
      next — a batch produced when the round cap strikes is dropped
-     unsent, exactly as the pre-parallel queue-based implementation
-     dropped its unflushed queue. *)
+     unsent, as an unflushed queue would be. *)
   let batch_up src items =
     (* Group (dst, item) records per dst, preserving first-enqueue dst
        order and per-dst item order. *)
@@ -143,8 +142,7 @@ let run ?pool ?(deadline = 1) ?obs net _rng _params ~graph ~sources ~corruption 
       (List.rev !order)
   in
   (* [forward_rumor] and [send_warning] write only party [me]'s slots of
-     the state arrays and enqueue through the caller-supplied [enqueue] —
-     shard-safe when run inside a [Net.run_round] compute phase. *)
+     the state arrays and enqueue through the caller-supplied [enqueue]. *)
   let forward_rumor enqueue me origin value =
     if not (Hashtbl.mem forwarded.(me) origin) then begin
       Hashtbl.replace forwarded.(me) origin ();
@@ -176,7 +174,7 @@ let run ?pool ?(deadline = 1) ?obs net _rng _params ~graph ~sources ~corruption 
         List.iter (fun dst -> if dst <> me then enqueue dst Warning) (neighbors me)
     end
   in
-  (* Round 0 (calling domain): sources inject their own rumors; corrupted
+  (* Round 0: sources inject their own rumors; corrupted
      parties may also forge rumors for arbitrary origins.  All round-0
      enqueues share one queue so that a party that is both a source and a
      forger still emits a single batch per destination. *)
@@ -235,9 +233,8 @@ let run ?pool ?(deadline = 1) ?obs net _rng _params ~graph ~sources ~corruption 
      of one.
 
      Each iteration sends the previous round's batches, steps, then runs
-     the {e active frontier}'s drain-and-forward steps — sharded across
-     domains when a pool is supplied; batch contents and ordering are
-     independent of the domain count.  Iterating [Net.active_parties]
+     the {e active frontier}'s drain-and-forward steps in ascending party
+     order.  Iterating [Net.active_parties]
      instead of [0 .. n-1] is exact, not an approximation: a party with
      an empty inbox drains nothing, mutates nothing, and batches nothing,
      so skipping it is unobservable — while at n = 10⁶ with degree ~40
@@ -245,9 +242,8 @@ let run ?pool ?(deadline = 1) ?obs net _rng _params ~graph ~sources ~corruption 
   let cap = ((2 * n) + 2) * deadline in
   let round = ref 0 in
   let batches = ref !round0 in
-  (* Observable recording happens here on the calling domain (never inside
-     the sharded compute closures): each outgoing batch is re-parsed for
-     its structural item counts.  [parse] only extracts structure — the
+  (* Observable recording happens where batches are sent: each outgoing
+     batch is re-parsed for its structural item counts.  [parse] only extracts structure — the
      predicted byte count is reconstructed arithmetically by the cost
      spec, so a framing change in [encode_batch] still shows up as a
      mismatch against the measured accounting. *)
@@ -310,9 +306,9 @@ let run ?pool ?(deadline = 1) ?obs net _rng _params ~graph ~sources ~corruption 
       !batches;
     Netsim.Net.step net;
     let produced =
-      Netsim.Net.run_round ?pool net ~parties:(Netsim.Net.active_parties net) (fun p ->
-          let me = Netsim.Net.Party.id p in
-          let inbox = Netsim.Net.Party.recv p in
+      List.map
+        (fun me ->
+          let inbox = Netsim.Net.recv net ~dst:me in
           let out = ref [] in
           let enqueue dst item = out := (dst, item) :: !out in
           let on_item = function
@@ -349,6 +345,7 @@ let run ?pool ?(deadline = 1) ?obs net _rng _params ~graph ~sources ~corruption 
                 end)
             inbox;
           batch_up me (List.rev !out))
+        (Netsim.Net.active_parties net)
     in
     batches := List.concat produced
   done);

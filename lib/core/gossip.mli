@@ -30,16 +30,8 @@ type adv = {
 val honest_adv : adv
 
 (** Per-party result: the origin→value map it gossiped together (sorted
-    association list), or an abort.
-
-    With [~pool], every gossip round's drain-and-forward step runs
-    through {!Netsim.Net.run_round}: parties are sharded across domains,
-    each mutating only its own slots of the rumor/warning state, and the
-    produced batches are merged in ascending party id — so traffic and
-    outcomes are bit-identical at any domain count.  Adversary callbacks
-    must be pure (all of {!Attacks}' are). *)
+    association list), or an abort. *)
 val run :
-  ?pool:Util.Pool.t ->
   ?deadline:int ->
   ?obs:Analysis.Costs.Obs.t ->
   Netsim.Net.t ->

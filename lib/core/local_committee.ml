@@ -38,13 +38,13 @@ let cost_spec ~n ~h ~lambda ~alpha =
     max_locality = None;
   }
 
-let run ?pool ?obs net rng params ~corruption ~adv =
+let run ?obs net rng params ~corruption ~adv =
   let n = Netsim.Net.n net in
   let p = Params.local_committee_prob params in
   let bound = Params.local_committee_bound params in
   let is_corrupt i = Netsim.Corruption.is_corrupted corruption i in
   (* Step 1: the routing network. *)
-  let sparse_outs = Sparse_network.run ?pool net rng params ~corruption ~adv:adv.sparse in
+  let sparse_outs = Sparse_network.run net rng params ~corruption ~adv:adv.sparse in
   let graph =
     Array.map
       (function Outcome.Output s -> s | Outcome.Abort _ -> Util.Iset.empty)
@@ -66,7 +66,7 @@ let run ?pool ?obs net rng params ~corruption ~adv =
       (List.init n (fun i -> i))
   in
   let gossip_outs =
-    Gossip.run ?pool
+    Gossip.run
       ?obs:(Option.map (fun o -> Analysis.Costs.Obs.scoped o "gossip") obs)
       net rng params ~graph ~sources ~corruption ~adv:adv.gossip
   in

@@ -28,11 +28,7 @@ type result = {
       (** the routing graph (empty neighbor sets for aborted parties) *)
 }
 
-(** [?pool] shards the claim-gossip rounds across domains
-    ([Gossip.run]'s rng-free halves); the election coins and the routing
-    network stay on the calling domain for stream fidelity. *)
 val run :
-  ?pool:Util.Pool.t ->
   ?obs:Analysis.Costs.Obs.t ->
   Netsim.Net.t ->
   Util.Prng.t ->

@@ -56,7 +56,7 @@ let cost_spec_theorem2 ~n ~h ~lambda ~alpha ~depth ~input_width ~out_bits =
     max_locality = None;
   }
 
-let run_theorem2 ?pool ?obs net rng config ~corruption ~inputs ~adv =
+let run_theorem2 ?obs net rng config ~corruption ~inputs ~adv =
   let params = config.params in
   let n = Netsim.Net.n net in
   let sub_obs name = Option.map (fun o -> Analysis.Costs.Obs.scoped o name) obs in
@@ -72,7 +72,7 @@ let run_theorem2 ?pool ?obs net rng config ~corruption ~inputs ~adv =
       inputs
   in
   (* Phase 1: routing network. *)
-  let sparse_outs = Sparse_network.run ?pool net rng params ~corruption ~adv:adv.sparse in
+  let sparse_outs = Sparse_network.run net rng params ~corruption ~adv:adv.sparse in
   let graph =
     Array.map
       (function Outcome.Output s -> s | Outcome.Abort _ -> Util.Iset.empty)
@@ -99,7 +99,7 @@ let run_theorem2 ?pool ?obs net rng config ~corruption ~inputs ~adv =
       (List.init n (fun i -> i))
   in
   let g1 =
-    Gossip.run ?pool ?obs:(sub_obs "g1") net rng params ~graph ~sources ~corruption
+    Gossip.run ?obs:(sub_obs "g1") net rng params ~graph ~sources ~corruption
       ~adv:adv.gossip_r1
   in
   let r1_views = Array.make n None in
@@ -132,7 +132,7 @@ let run_theorem2 ?pool ?obs net rng config ~corruption ~inputs ~adv =
       (List.init n (fun i -> i))
   in
   let g2 =
-    Gossip.run ?pool ?obs:(sub_obs "g2") net rng params ~graph ~sources:pdec_sources
+    Gossip.run ?obs:(sub_obs "g2") net rng params ~graph ~sources:pdec_sources
       ~corruption ~adv:adv.gossip_pdec
   in
   (* The ideal functionality's output on the effective inputs. *)
@@ -285,7 +285,7 @@ let cost_spec_theorem4 ~pke ~depth ~input_width ~out_bits ~n ~h ~lambda ~alpha =
     max_locality = None;
   }
 
-let run_theorem4_metered ?cover_size ?pool ?obs net rng config ~corruption ~inputs ~adv =
+let run_theorem4_metered ?cover_size ?obs net rng config ~corruption ~inputs ~adv =
   let module P = (val config.pke : Crypto.Pke.S) in
   let params = config.params in
   let n = Netsim.Net.n net in
@@ -309,7 +309,7 @@ let run_theorem4_metered ?cover_size ?pool ?obs net rng config ~corruption ~inpu
   (* ---- Step 1: local committee election ---- *)
   let s0 = mark () in
   let election =
-    Local_committee.run ?pool ?obs:(sub_obs "lc") net rng params ~corruption
+    Local_committee.run ?obs:(sub_obs "lc") net rng params ~corruption
       ~adv:adv.election
   in
   Array.iteri
@@ -336,7 +336,7 @@ let run_theorem4_metered ?cover_size ?pool ?obs net rng config ~corruption ~inpu
   let gen_results =
     if members = [] then []
     else
-      Enc_func.run ?pool net rng params ~participants:members
+      Enc_func.run net rng params ~participants:members
         ~private_input:(fun i ->
           Crypto.Kdf.expand
             ~key:(Util.Prng.bytes rng 32)
@@ -373,9 +373,7 @@ let run_theorem4_metered ?cover_size ?pool ?obs net rng config ~corruption ~inpu
         Hashtbl.replace covers c sample
       end)
     members;
-  (* Step 4: forward pk to the cover.  Rng-free member fan-out — shards
-     through run_round like mpc_abort step 3; the commit replays sends in
-     ascending member id, exactly the sequential List.iter order. *)
+  (* Step 4: forward pk to the cover, members in ascending id. *)
   let cover_sends holds =
     List.fold_left
       (fun acc c ->
@@ -385,58 +383,42 @@ let run_theorem4_metered ?cover_size ?pool ?obs net rng config ~corruption ~inpu
       0 members
   in
   ob "pk_sends" (cover_sends (Hashtbl.mem member_pk));
-  let (_ : unit list) =
-    Netsim.Net.run_round ?pool net ~parties:members (fun p ->
-        let c = Netsim.Net.Party.id p in
-        if active c then
-          match Hashtbl.find_opt member_pk c with
-          | Some pkb ->
-            List.iter
-              (fun dst ->
-                if dst <> c then begin
-                  let payload =
-                    match adv.pk_forward with
-                    | Some f when is_corrupt c -> f ~me:c ~dst pkb
-                    | _ -> pkb
-                  in
-                  Netsim.Net.Party.send p ~dst payload
-                end)
-              (Hashtbl.find covers c)
-          | None -> ())
-  in
+  List.iter
+    (fun c ->
+      if active c then
+        match Hashtbl.find_opt member_pk c with
+        | Some pkb ->
+          List.iter
+            (fun dst ->
+              if dst <> c then begin
+                let payload =
+                  match adv.pk_forward with
+                  | Some f when is_corrupt c -> f ~me:c ~dst pkb
+                  | _ -> pkb
+                in
+                Netsim.Net.send net ~src:c ~dst payload
+              end)
+            (Hashtbl.find covers c)
+        | None -> ())
+    members;
   Netsim.Net.step net;
-  (* Parties learn their responsible members and check pk consistency:
-     pure per-inbox collection, sharded; the abort bookkeeping is applied
-     sequentially afterwards. *)
+  (* Parties learn their responsible members and check pk consistency. *)
   let party_pk = Array.make n None in
   let responsible = Array.make n [] in
-  let pk_checks =
-    Netsim.Net.run_round ?pool net
-      ~parties:(List.init n (fun i -> i))
-      (fun p ->
-        let i = Netsim.Net.Party.id p in
-        let msgs = Netsim.Net.Party.recv p in
-        let senders = List.sort_uniq compare (List.map fst msgs) in
-        (* Committee members know pk directly. *)
-        let copies = List.map snd msgs in
-        let copies =
-          match Hashtbl.find_opt member_pk i with Some own -> own :: copies | None -> copies
-        in
-        match copies with
-        | [] -> (senders, `No_copies) (* uncovered non-member: abort at the end *)
-        | first :: rest ->
-          if List.for_all (Bytes.equal first) rest then (senders, `Pk first)
-          else (senders, `Conflict))
-  in
-  List.iteri
-    (fun i (senders, verdict) ->
-      responsible.(i) <- senders;
-      match verdict with
-      | `No_copies -> ()
-      | `Pk first -> party_pk.(i) <- Some first
-      | `Conflict ->
-        if active i then set_abort i (Outcome.Equivocation "conflicting public keys"))
-    pk_checks;
+  for i = 0 to n - 1 do
+    let msgs = Netsim.Net.recv net ~dst:i in
+    responsible.(i) <- List.sort_uniq compare (List.map fst msgs);
+    (* Committee members know pk directly. *)
+    let copies = List.map snd msgs in
+    let copies =
+      match Hashtbl.find_opt member_pk i with Some own -> own :: copies | None -> copies
+    in
+    match copies with
+    | [] -> () (* uncovered non-member: abort at the end *)
+    | first :: rest ->
+      if List.for_all (Bytes.equal first) rest then party_pk.(i) <- Some first
+      else if active i then set_abort i (Outcome.Equivocation "conflicting public keys")
+  done;
   (* Step 5: parties encrypt and send their input to responsible members. *)
   let input_bytes i = Bitpack.int_to_bytes inputs.(i) ~width:config.input_width in
   let own_ct = Hashtbl.create 8 in
@@ -467,37 +449,28 @@ let run_theorem4_metered ?cover_size ?pool ?obs net rng config ~corruption ~inpu
   ob "input_sends" !input_sends;
   Netsim.Net.step net;
   (* Input collection: each member filters its own inbox against its
-     cover — rng-free, sharded; the table is filled on the calling domain
-     from the returned entries. *)
+     cover. *)
   let collected = Hashtbl.create 8 in
-  let collect_members = List.filter active members in
-  let collect_results =
-    Netsim.Net.run_round ?pool net ~parties:collect_members (fun p ->
-        let c = Netsim.Net.Party.id p in
-        let msgs = Netsim.Net.Party.recv p in
-        let mine = Hashtbl.find covers c in
-        let entries =
-          List.filter_map
-            (fun (src, ct) -> if List.mem src mine then Some (src, ct) else None)
-            msgs
-        in
-        let entries =
-          match Hashtbl.find_opt own_ct c with
-          | Some ct when List.mem c mine -> (c, ct) :: entries
-          | _ -> entries
-        in
-        List.sort compare entries)
-  in
-  List.iter2
-    (fun c entries -> Hashtbl.replace collected c entries)
-    collect_members collect_results;
+  List.iter
+    (fun c ->
+      let msgs = Netsim.Net.recv net ~dst:c in
+      let mine = Hashtbl.find covers c in
+      let entries =
+        List.filter_map
+          (fun (src, ct) -> if List.mem src mine then Some (src, ct) else None)
+          msgs
+      in
+      let entries =
+        match Hashtbl.find_opt own_ct c with
+        | Some ct when List.mem c mine -> (c, ct) :: entries
+        | _ -> entries
+      in
+      Hashtbl.replace collected c (List.sort compare entries))
+    (List.filter active members);
   let cover_bits = bits_since s2 in
 
   (* ---- Step 6: members exchange their collected inputs ---- *)
   let s3 = mark () in
-  (* Both halves are rng-free: the O(|C|²) encode-and-send fan-out (the
-     CPU-heavy exchange encoding) and the per-member merge each shard
-     through run_round; abort bookkeeping lands after the round. *)
   let active_members = List.filter active members in
   ob "exch_senders" (List.length active_members);
   let exch_hdr, exch_idsum, exch_entries =
@@ -513,51 +486,43 @@ let run_theorem4_metered ?cover_size ?pool ?obs net rng config ~corruption ~inpu
   ob "exch_hdr" exch_hdr;
   ob "exch_idsum" exch_idsum;
   ob "exch_entries" exch_entries;
-  let (_ : unit list) =
-    Netsim.Net.run_round ?pool net ~parties:active_members (fun p ->
-        let c = Netsim.Net.Party.id p in
-        let entries = Hashtbl.find collected c in
-        List.iter
-          (fun c' ->
-            if c' <> c then begin
-              let entries =
-                match adv.exchange_tamper with
-                | Some f when is_corrupt c ->
-                  List.map (fun (party, ct) -> (party, f ~me:c ~dst:c' ~party ct)) entries
-                | _ -> entries
-              in
-              Netsim.Net.Party.send p ~dst:c' (encode_exchange entries)
-            end)
-          active_members)
-  in
+  List.iter
+    (fun c ->
+      let entries = Hashtbl.find collected c in
+      List.iter
+        (fun c' ->
+          if c' <> c then begin
+            let entries =
+              match adv.exchange_tamper with
+              | Some f when is_corrupt c ->
+                List.map (fun (party, ct) -> (party, f ~me:c ~dst:c' ~party ct)) entries
+              | _ -> entries
+            in
+            Netsim.Net.send net ~src:c ~dst:c' (encode_exchange entries)
+          end)
+        active_members)
+    active_members;
   Netsim.Net.step net;
   let merged = Hashtbl.create 8 in
-  let merge_results =
-    Netsim.Net.run_round ?pool net ~parties:active_members (fun p ->
-        let c = Netsim.Net.Party.id p in
-        let tbl = Hashtbl.create n in
-        let conflict = ref false in
-        let add (id, ct) =
-          match Hashtbl.find_opt tbl id with
-          | None -> Hashtbl.replace tbl id ct
-          | Some prev -> if not (Bytes.equal prev ct) then conflict := true
-        in
-        List.iter add (Hashtbl.find collected c);
-        List.iter
-          (fun (_, payload) ->
-            match decode_exchange payload with
-            | Some entries -> List.iter add entries
-            | None -> conflict := true)
-          (Netsim.Net.Party.recv p);
-        if !conflict then `Conflict
-        else `View (List.init n (fun i -> (i, Hashtbl.find_opt tbl i))))
-  in
-  List.iter2
-    (fun c result ->
-      match result with
-      | `Conflict -> set_abort c (Outcome.Equivocation "conflicting ciphertexts in exchange")
-      | `View view -> Hashtbl.replace merged c view)
-    active_members merge_results;
+  List.iter
+    (fun c ->
+      let tbl = Hashtbl.create n in
+      let conflict = ref false in
+      let add (id, ct) =
+        match Hashtbl.find_opt tbl id with
+        | None -> Hashtbl.replace tbl id ct
+        | Some prev -> if not (Bytes.equal prev ct) then conflict := true
+      in
+      List.iter add (Hashtbl.find collected c);
+      List.iter
+        (fun (_, payload) ->
+          match decode_exchange payload with
+          | Some entries -> List.iter add entries
+          | None -> conflict := true)
+        (Netsim.Net.recv net ~dst:c);
+      if !conflict then set_abort c (Outcome.Equivocation "conflicting ciphertexts in exchange")
+      else Hashtbl.replace merged c (List.init n (fun i -> (i, Hashtbl.find_opt tbl i))))
+    active_members;
   let exchange_bits = bits_since s3 in
 
   (* ---- Step 7: pairwise equality on the merged views ---- *)
@@ -571,7 +536,7 @@ let run_theorem4_metered ?cover_size ?pool ?obs net rng config ~corruption ~inpu
        0 eq_members);
   let verdicts =
     if List.length eq_members >= 2 then
-      Equality.pairwise ?pool net rng params ~members:eq_members
+      Equality.pairwise net rng params ~members:eq_members
         ~value:(Equality.view_value (Hashtbl.find merged))
         ~corruption ~adv:adv.eq
     else List.map (fun c -> (c, true)) eq_members
@@ -589,7 +554,7 @@ let run_theorem4_metered ?cover_size ?pool ?obs net rng config ~corruption ~inpu
   let comp_results =
     if comp_members = [] then []
     else
-      Enc_func.run ?pool net rng params ~participants:comp_members
+      Enc_func.run net rng params ~participants:comp_members
         ~private_input:(fun c ->
           Crypto.Kdf.expand
             ~key:(Bytes.of_string (Printf.sprintf "t4skshare/%d" c))
@@ -641,50 +606,42 @@ let run_theorem4_metered ?cover_size ?pool ?obs net rng config ~corruption ~inpu
   let compute_bits = bits_since s5 in
 
   (* ---- Step 9: output to covers ---- *)
-  (* Mirrors mpc_abort step 7: rng-free output fan-out and per-party
-     collection both shard; classification stays on the calling domain. *)
+  (* Mirrors mpc_abort step 7: output fan-out, then per-party
+     collection and classification. *)
   let s6 = mark () in
   ob "out_sends" (cover_sends (Hashtbl.mem member_out));
-  let (_ : unit list) =
-    Netsim.Net.run_round ?pool net ~parties:members (fun p ->
-        let c = Netsim.Net.Party.id p in
-        if active c then
-          match Hashtbl.find_opt member_out c with
-          | Some out ->
-            List.iter
-              (fun dst ->
-                if dst <> c then begin
-                  let payload =
-                    match adv.out_forward with
-                    | Some f when is_corrupt c -> f ~me:c ~dst out
-                    | _ -> out
-                  in
-                  Netsim.Net.Party.send p ~dst payload
-                end)
-              (Hashtbl.find covers c)
-          | None -> ())
-  in
+  List.iter
+    (fun c ->
+      if active c then
+        match Hashtbl.find_opt member_out c with
+        | Some out ->
+          List.iter
+            (fun dst ->
+              if dst <> c then begin
+                let payload =
+                  match adv.out_forward with
+                  | Some f when is_corrupt c -> f ~me:c ~dst out
+                  | _ -> out
+                in
+                Netsim.Net.send net ~src:c ~dst payload
+              end)
+            (Hashtbl.find covers c)
+        | None -> ())
+    members;
   Netsim.Net.step net;
-  let final = Array.make n (Outcome.Abort (Outcome.Missing "no output received")) in
-  let final_copies =
-    Netsim.Net.run_round ?pool net
-      ~parties:(List.init n (fun i -> i))
-      (fun p ->
-        let i = Netsim.Net.Party.id p in
-        let copies = List.map snd (Netsim.Net.Party.recv p) in
-        match Hashtbl.find_opt member_out i with Some own -> own :: copies | None -> copies)
+  let final =
+    Array.init n (fun i ->
+        let copies = List.map snd (Netsim.Net.recv net ~dst:i) in
+        let copies =
+          match Hashtbl.find_opt member_out i with Some own -> own :: copies | None -> copies
+        in
+        match (abort.(i), copies) with
+        | Some r, _ -> Outcome.Abort r
+        | None, [] -> Outcome.Abort (Outcome.Missing "no output received (uncovered)")
+        | None, first :: rest ->
+          if List.for_all (Bytes.equal first) rest then Outcome.Output first
+          else Outcome.Abort (Outcome.Equivocation "conflicting outputs"))
   in
-  List.iteri
-    (fun i copies ->
-      match abort.(i) with
-      | Some r -> final.(i) <- Outcome.Abort r
-      | None -> (
-        match copies with
-        | [] -> final.(i) <- Outcome.Abort (Outcome.Missing "no output received (uncovered)")
-        | first :: rest ->
-          if List.for_all (Bytes.equal first) rest then final.(i) <- Outcome.Output first
-          else final.(i) <- Outcome.Abort (Outcome.Equivocation "conflicting outputs")))
-    final_copies;
   let output_bits = bits_since s6 in
   ( final,
     {
@@ -697,5 +654,5 @@ let run_theorem4_metered ?cover_size ?pool ?obs net rng config ~corruption ~inpu
       output_bits;
     } )
 
-let run_theorem4 ?pool ?obs net rng config ~corruption ~inputs ~adv =
-  fst (run_theorem4_metered ?pool ?obs net rng config ~corruption ~inputs ~adv)
+let run_theorem4 ?obs net rng config ~corruption ~inputs ~adv =
+  fst (run_theorem4_metered ?obs net rng config ~corruption ~inputs ~adv)

@@ -36,14 +36,8 @@ type theorem2_adv = {
 
 val honest_theorem2_adv : theorem2_adv
 
-(** Per-party packed circuit output, or abort.
-
-    [?pool] shards the rng-free halves of both gossip phases
-    ([Gossip.run]'s per-party fan-out/collection) across domains; the
-    routing network and all stream draws stay on the calling domain, so
-    results and accounting are byte-identical at any jobs count. *)
+(** Per-party packed circuit output, or abort. *)
 val run_theorem2 :
-  ?pool:Util.Pool.t ->
   ?obs:Analysis.Costs.Obs.t ->
   Netsim.Net.t ->
   Util.Prng.t ->
@@ -103,16 +97,7 @@ type theorem4_costs = {
   output_bits : int;     (** outputs to covers *)
 }
 
-(** [?pool] shards the rng-free per-party halves (pk fan-out to covers,
-    pk-consistency checks, input collection, the O(|C|²) exchange
-    encode-and-send plus merge, output fan-out and final collection)
-    through [Netsim.Net.run_round], and hands the pool to the election
-    gossip, [Enc_func] and the step-7 [Equality.pairwise].  Cover
-    sampling, input encryption and every other stream draw stay
-    sequential on the calling domain, so verdicts and accounting are
-    byte-identical at any jobs count. *)
 val run_theorem4 :
-  ?pool:Util.Pool.t ->
   ?obs:Analysis.Costs.Obs.t ->
   Netsim.Net.t ->
   Util.Prng.t ->
@@ -128,10 +113,9 @@ val run_theorem4 :
     observables {!cost_phases_theorem4} consumes (committee size, cover
     fan-out counts, input submissions, exchange framing, populated merged
     view entries, plus sub-protocol observables under [pre].lc / .gen /
-    .eq / .comp); recording happens only on the calling domain. *)
+    .eq / .comp). *)
 val run_theorem4_metered :
   ?cover_size:int ->
-  ?pool:Util.Pool.t ->
   ?obs:Analysis.Costs.Obs.t ->
   Netsim.Net.t ->
   Util.Prng.t ->

@@ -105,7 +105,7 @@ let cost_spec ~pke ~depth ~input_width ~out_bits ~n ~lambda =
     max_locality = None;
   }
 
-let run_metered ?pool ?deadline ?obs net rng config ~corruption ~inputs ~adv =
+let run_metered ?deadline ?obs net rng config ~corruption ~inputs ~adv =
   let module P = (val config.pke : Crypto.Pke.S) in
   let params = config.params in
   let n = Netsim.Net.n net in
@@ -128,7 +128,7 @@ let run_metered ?pool ?deadline ?obs net rng config ~corruption ~inputs ~adv =
 
   (* ---- Step 1: committee election ---- *)
   let s0 = mark_phase () in
-  let views = Committee.run ?pool ?deadline ?obs:(sub_obs "comm") net rng params ~corruption ~adv:adv.committee in
+  let views = Committee.run ?deadline ?obs:(sub_obs "comm") net rng params ~corruption ~adv:adv.committee in
   Array.iteri
     (fun i o -> match o with Outcome.Abort r -> set_abort i r | Outcome.Output _ -> ())
     views;
@@ -151,7 +151,7 @@ let run_metered ?pool ?deadline ?obs net rng config ~corruption ~inputs ~adv =
   let gen_results =
     if members = [] then []
     else
-      Enc_func.run ?pool ?deadline net rng params ~participants:members
+      Enc_func.run ?deadline net rng params ~participants:members
         ~private_input:(fun i ->
           Crypto.Kdf.expand
             ~key:(Util.Prng.bytes rng 32)
@@ -184,55 +184,41 @@ let run_metered ?pool ?deadline ?obs net rng config ~corruption ~inputs ~adv =
   let keygen_bits = phase_bits s1 in
 
   (* ---- Step 3: pk forwarding to the whole network ---- *)
-  (* Both halves of the phase are rng-free per-party loops, so they shard
-     across domains: the member fan-out (O(|C|·n) sends) and the per-party
-     conflict check each run through {!Netsim.Net.run_round}; abort
-     bookkeeping is applied on the calling domain afterwards. *)
+  (* The member fan-out (O(|C|·n) sends), then every party's conflict
+     check. *)
   let s2 = mark_phase () in
   ob "pk_senders"
     (List.length (List.filter (fun c -> active c && Hashtbl.mem member_pk c) members));
-  let (_ : unit list) =
-    Netsim.Net.run_round ?pool net ~parties:members (fun p ->
-        let c = Netsim.Net.Party.id p in
-        if active c then
-          match Hashtbl.find_opt member_pk c with
-          | Some pkb ->
-            for dst = 0 to n - 1 do
-              if dst <> c then begin
-                let payload =
-                  match adv.pk_forward with
-                  | Some f when is_corrupt c -> f ~me:c ~dst pkb
-                  | _ -> pkb
-                in
-                Netsim.Net.Party.send p ~dst payload
-              end
-            done
-          | None -> ())
-  in
+  List.iter
+    (fun c ->
+      if active c then
+        match Hashtbl.find_opt member_pk c with
+        | Some pkb ->
+          for dst = 0 to n - 1 do
+            if dst <> c then begin
+              let payload =
+                match adv.pk_forward with
+                | Some f when is_corrupt c -> f ~me:c ~dst pkb
+                | _ -> pkb
+              in
+              Netsim.Net.send net ~src:c ~dst payload
+            end
+          done
+        | None -> ())
+    members;
   Netsim.Net.step_until_quiet ?deadline net;
   let party_pk = Array.make n None in
-  let pk_verdicts =
-    Netsim.Net.run_round ?pool net
-      ~parties:(List.init n (fun i -> i))
-      (fun p ->
-        let i = Netsim.Net.Party.id p in
-        let copies = List.map snd (Netsim.Net.Party.recv p) in
-        let copies =
-          match Hashtbl.find_opt member_pk i with Some own -> own :: copies | None -> copies
-        in
-        match copies with
-        | [] -> `No_key
-        | first :: rest ->
-          if List.for_all (Bytes.equal first) rest then `Pk first else `Conflict)
-  in
-  List.iteri
-    (fun i verdict ->
-      match verdict with
-      | `No_key -> if active i then set_abort i (Outcome.Missing "no public key received")
-      | `Pk first -> party_pk.(i) <- Some first
-      | `Conflict ->
-        if active i then set_abort i (Outcome.Equivocation "conflicting public keys"))
-    pk_verdicts;
+  for i = 0 to n - 1 do
+    let copies = List.map snd (Netsim.Net.recv net ~dst:i) in
+    let copies =
+      match Hashtbl.find_opt member_pk i with Some own -> own :: copies | None -> copies
+    in
+    match copies with
+    | [] -> if active i then set_abort i (Outcome.Missing "no public key received")
+    | first :: rest ->
+      if List.for_all (Bytes.equal first) rest then party_pk.(i) <- Some first
+      else if active i then set_abort i (Outcome.Equivocation "conflicting public keys")
+  done;
   let pk_forward_bits = phase_bits s2 in
 
   (* ---- Step 4: input encryption and submission ---- *)
@@ -266,30 +252,25 @@ let run_metered ?pool ?deadline ?obs net rng config ~corruption ~inputs ~adv =
   done;
   ob "input_sends" !input_sends;
   Netsim.Net.step_until_quiet ?deadline net;
-  (* Encryption above consumes the shared [rng] and stays sequential; the
-     members' ciphertext-view assembly below is pure per-inbox work and
-     shards across domains. *)
+  (* Each member assembles its view of every party's ciphertext. *)
   let member_cts = Hashtbl.create 8 in
-  let ct_members = List.filter active members in
-  let ct_views =
-    Netsim.Net.run_round ?pool net ~parties:ct_members (fun p ->
-        let c = Netsim.Net.Party.id p in
-        let msgs = Netsim.Net.Party.recv p in
-        let tbl = Hashtbl.create n in
-        List.iter
-          (fun (src, ct) ->
-            match Hashtbl.find_opt tbl src with
-            | None -> Hashtbl.replace tbl src (Some ct)
-            | Some (Some prev) when Bytes.equal prev ct -> ()
-            | Some _ -> Hashtbl.replace tbl src None)
-          msgs;
-        (match Hashtbl.find_opt own_ct c with
-        | Some ct -> Hashtbl.replace tbl c (Some ct)
-        | None -> ());
-        List.init n (fun i ->
-            (i, match Hashtbl.find_opt tbl i with Some (Some ct) -> Some ct | _ -> None)))
-  in
-  List.iter2 (fun c view -> Hashtbl.replace member_cts c view) ct_members ct_views;
+  List.iter
+    (fun c ->
+      let tbl = Hashtbl.create n in
+      List.iter
+        (fun (src, ct) ->
+          match Hashtbl.find_opt tbl src with
+          | None -> Hashtbl.replace tbl src (Some ct)
+          | Some (Some prev) when Bytes.equal prev ct -> ()
+          | Some _ -> Hashtbl.replace tbl src None)
+        (Netsim.Net.recv net ~dst:c);
+      (match Hashtbl.find_opt own_ct c with
+      | Some ct -> Hashtbl.replace tbl c (Some ct)
+      | None -> ());
+      Hashtbl.replace member_cts c
+        (List.init n (fun i ->
+             (i, match Hashtbl.find_opt tbl i with Some (Some ct) -> Some ct | _ -> None))))
+    (List.filter active members);
   let input_phase_bits = phase_bits s3 in
 
   (* ---- Step 5: pairwise equality on ciphertext views ---- *)
@@ -305,7 +286,7 @@ let run_metered ?pool ?deadline ?obs net rng config ~corruption ~inputs ~adv =
        0 eq_members);
   let verdicts =
     if List.length eq_members >= 2 then
-      Equality.pairwise ?pool ?deadline net rng params ~members:eq_members
+      Equality.pairwise ?deadline net rng params ~members:eq_members
         ~value:(Equality.view_value (Hashtbl.find member_cts))
         ~corruption ~adv:adv.eq
     else List.map (fun c -> (c, true)) eq_members
@@ -323,7 +304,7 @@ let run_metered ?pool ?deadline ?obs net rng config ~corruption ~inputs ~adv =
   let comp_results =
     if comp_members = [] then []
     else
-      Enc_func.run ?pool ?deadline net rng params ~participants:comp_members
+      Enc_func.run ?deadline net rng params ~participants:comp_members
         ~private_input:(fun c ->
           Crypto.Kdf.expand
             ~key:(Bytes.of_string (Printf.sprintf "skshare/%d" c))
@@ -380,52 +361,42 @@ let run_metered ?pool ?deadline ?obs net rng config ~corruption ~inputs ~adv =
   let compute_bits = phase_bits s5 in
 
   (* ---- Step 7: output forwarding ---- *)
-  (* Same shape as step 3: rng-free fan-out plus per-party conflict check,
-     both sharded; the abort verdicts merge on the calling domain. *)
+  (* Same shape as step 3: the member fan-out, then every party's
+     conflict check. *)
   let s6 = mark_phase () in
   ob "out_senders"
     (List.length (List.filter (fun c -> active c && Hashtbl.mem member_out c) members));
-  let (_ : unit list) =
-    Netsim.Net.run_round ?pool net ~parties:members (fun p ->
-        let c = Netsim.Net.Party.id p in
-        if active c then
-          match Hashtbl.find_opt member_out c with
-          | Some out ->
-            for dst = 0 to n - 1 do
-              if dst <> c then begin
-                let payload =
-                  match adv.out_forward with
-                  | Some f when is_corrupt c -> f ~me:c ~dst out
-                  | _ -> out
-                in
-                Netsim.Net.Party.send p ~dst payload
-              end
-            done
-          | None -> ())
-  in
+  List.iter
+    (fun c ->
+      if active c then
+        match Hashtbl.find_opt member_out c with
+        | Some out ->
+          for dst = 0 to n - 1 do
+            if dst <> c then begin
+              let payload =
+                match adv.out_forward with
+                | Some f when is_corrupt c -> f ~me:c ~dst out
+                | _ -> out
+              in
+              Netsim.Net.send net ~src:c ~dst payload
+            end
+          done
+        | None -> ())
+    members;
   Netsim.Net.step_until_quiet ?deadline net;
-  let final = Array.make n (Outcome.Abort (Outcome.Missing "no output received")) in
-  let classified =
-    Netsim.Net.run_round ?pool net
-      ~parties:(List.init n (fun i -> i))
-      (fun p ->
-        let i = Netsim.Net.Party.id p in
-        let copies = List.map snd (Netsim.Net.Party.recv p) in
+  let final =
+    Array.init n (fun i ->
+        let copies = List.map snd (Netsim.Net.recv net ~dst:i) in
         let copies =
           match Hashtbl.find_opt member_out i with Some own -> own :: copies | None -> copies
         in
-        match copies with
-        | [] -> Outcome.Abort (Outcome.Missing "no output received")
-        | first :: rest ->
+        match (abort.(i), copies) with
+        | Some r, _ -> Outcome.Abort r
+        | None, [] -> Outcome.Abort (Outcome.Missing "no output received")
+        | None, first :: rest ->
           if List.for_all (Bytes.equal first) rest then Outcome.Output first
           else Outcome.Abort (Outcome.Equivocation "conflicting outputs"))
   in
-  List.iteri
-    (fun i out ->
-      match abort.(i) with
-      | Some r -> final.(i) <- Outcome.Abort r
-      | None -> final.(i) <- out)
-    classified;
   let output_bits = phase_bits s6 in
   ( final,
     {
@@ -438,5 +409,5 @@ let run_metered ?pool ?deadline ?obs net rng config ~corruption ~inputs ~adv =
       output_bits;
     } )
 
-let run ?pool ?deadline ?obs net rng config ~corruption ~inputs ~adv =
-  fst (run_metered ?pool ?deadline ?obs net rng config ~corruption ~inputs ~adv)
+let run ?deadline ?obs net rng config ~corruption ~inputs ~adv =
+  fst (run_metered ?deadline ?obs net rng config ~corruption ~inputs ~adv)

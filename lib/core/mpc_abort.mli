@@ -47,21 +47,10 @@ val honest_adv : adv
 
 (** Per-party result: the packed circuit output bits (see {!Bitpack}).
 
-    With [~pool], the heaviest per-round loops shard across domains via
-    {!Netsim.Net.run_round}: the committee's claim collection (step 1,
-    through {!Committee.run}), the pk fan-out and conflict check (step 3),
-    the members' ciphertext-view assembly (step 4), and the output fan-out
-    and conflict check (step 7).  Everything that draws from the shared
-    [rng] — coins, key generation, input encryption, equality
-    fingerprints — stays on the calling domain in party order, so results
-    and accounting are bit-identical at any domain count.
-
     [?obs] records the structural observables the cost spec consumes
     (committee size, fan-out sender counts, ciphertext submissions,
-    populated view entries — see {!cost_phases}); recording happens only
-    on the calling domain. *)
+    populated view entries — see {!cost_phases}). *)
 val run :
-  ?pool:Util.Pool.t ->
   ?deadline:int ->
   ?obs:Analysis.Costs.Obs.t ->
   Netsim.Net.t ->
@@ -89,7 +78,6 @@ type phase_costs = {
 
 (** [run_metered] — like {!run} but also returns per-phase bit counts. *)
 val run_metered :
-  ?pool:Util.Pool.t ->
   ?deadline:int ->
   ?obs:Analysis.Costs.Obs.t ->
   Netsim.Net.t ->

@@ -118,7 +118,7 @@ let union_degmax out_hops =
   done;
   !best
 
-let run_iter ?pool ?obs net rng params ~corruption ~adv ~f =
+let run_iter ?obs net rng params ~corruption ~adv ~f =
   let n = Netsim.Net.n net in
   let d = Params.sparse_degree params in
   let bound = Params.degree_bound params in
@@ -167,28 +167,17 @@ let run_iter ?pool ?obs net rng params ~corruption ~adv ~f =
   (* Step 3: collect incoming notifications; abort on a flooded inbox.
      (The paper's step 3 text garbles the inequality; per the proof of
      Claim 20 the abort condition is |N_in| exceeding twice the expected
-     degree.)  Outcomes stream through [f] in ascending party order; the
-     sequential path never holds more than one neighbor set live, which
-     is what keeps the n = 10⁶ runs inside memory (n retained [Iset]s of
-     degree d are gigabytes). *)
-  (match pool with
-  | None ->
-    for i = 0 to n - 1 do
-      f i (outcome_of_inbox ~bound ~out_hops ~shapes i (Netsim.Net.recv net ~dst:i))
-    done
-  | Some _ ->
-    let outs =
-      Netsim.Net.run_round ?pool net
-        ~parties:(List.init n (fun i -> i))
-        (fun p ->
-          let i = Netsim.Net.Party.id p in
-          outcome_of_inbox ~bound ~out_hops ~shapes i (Netsim.Net.Party.recv p))
-    in
-    List.iteri f outs)
+     degree.)  Outcomes stream through [f] in ascending party order, and
+     no more than one neighbor set is live at a time, which is what keeps
+     the n = 10⁶ runs inside memory (n retained [Iset]s of degree d are
+     gigabytes). *)
+  for i = 0 to n - 1 do
+    f i (outcome_of_inbox ~bound ~out_hops ~shapes i (Netsim.Net.recv net ~dst:i))
+  done
 
-let run ?pool ?obs net rng params ~corruption ~adv =
+let run ?obs net rng params ~corruption ~adv =
   let outs = Array.make (Netsim.Net.n net) (Outcome.Output Util.Iset.empty) in
-  run_iter ?pool ?obs net rng params ~corruption ~adv ~f:(fun i o -> outs.(i) <- o);
+  run_iter ?obs net rng params ~corruption ~adv ~f:(fun i o -> outs.(i) <- o);
   outs
 
 let honest_subgraph_connected outs corruption =

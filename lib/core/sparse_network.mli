@@ -19,14 +19,10 @@ type adv = {
 
 val honest_adv : adv
 
-(** Per-party neighbor set, or abort.  With [~pool], the step-3
-    collection (inbox drain + neighbor-set build) shards across domains
-    through [Net.run_round]; outcomes are identical at any job count.
-    With [~obs], records [union_degmax] — the sampled hop graph's max
+(** Per-party neighbor set, or abort.  With [~obs], records [union_degmax] — the sampled hop graph's max
     union degree |out(i) ∪ in(i)|, computed structurally from the hop
     arrays — which the cost spec's [max_locality] formula consumes. *)
 val run :
-  ?pool:Util.Pool.t ->
   ?obs:Analysis.Costs.Obs.t ->
   Netsim.Net.t ->
   Util.Prng.t ->
@@ -48,12 +44,11 @@ val cost_spec :
 
 (** [run_iter ~f ...] is {!run} delivered as a stream: [f i outcome] is
     called once per party in ascending [i] with exactly the outcomes
-    {!run} would store.  Without a pool no more than one neighbor set is
-    live at a time, so a giant-n caller (E7 at n = 10⁵–10⁶) can fold
+    {!run} would store.  No more than one neighbor set is live at a
+    time, so a giant-n caller (E7 at n = 10⁵–10⁶) can fold
     degree/abort statistics without ever materializing the n-element
     outcome array — which is gigabytes of [Iset] nodes at n = 10⁶. *)
 val run_iter :
-  ?pool:Util.Pool.t ->
   ?obs:Analysis.Costs.Obs.t ->
   Netsim.Net.t ->
   Util.Prng.t ->

@@ -7,8 +7,8 @@
 
     Domain-safety: the per-claimant view encodings and the adjacency
     bitmap are allocated per call; the only state crossing the call
-    boundary is the caller-owned [aborted] array.  Safe under
-    [Util.Pool] jobs that own their network/RNG/arrays. *)
+    boundary is the caller-owned [aborted] array.  Safe in parallel jobs
+    that each own their network, RNG and arrays. *)
 
 (** [?obs] records the structural observables the cost spec needs
     ([maxlen], [fp_pairs], [pairs]); see {!cost_phases}. *)

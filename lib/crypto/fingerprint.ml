@@ -106,14 +106,12 @@ let[@inline] step acc c inv p w =
   y - (int_of_float (float_of_int y *. inv) * p)
 
 (* Lane [k] of a 4-lane step: its [y] first, then its quotient estimate,
-   then its new accumulator (see [residues_slice]). *)
+   then its new accumulator (see [residues_many]). *)
 let[@inline] lane_y acc c k w = (Array.unsafe_get acc k * Array.unsafe_get c k) + w
 let[@inline] lane_q inv k y = float_of_int y *. Array.unsafe_get inv k
 let[@inline] lane_set acc p k y q = Array.unsafe_set acc k (y - (int_of_float q * Array.unsafe_get p k))
 
-(* Residues for the prime slice [lo, hi) of [primes], written into the
-   same slice of [out].  Slices are disjoint across pool jobs, which is
-   the [Util.Pool] ownership discipline for result arrays.
+(* The residues of [msg] at every prime of [primes].
 
    The sweep steps primes four at a time with the four quotient estimates
    live together.  That puts each lane's int-to-double conversion in its
@@ -121,10 +119,12 @@ let[@inline] lane_set acc p k y q = Array.unsafe_set acc k (y - (int_of_float q 
    so a single lane reusing one register chains every conversion to the
    previous step's multiply.  Four lanes measured 1.6-2.8x faster than
    one on fp-micro's 64-prime rows. *)
-let residues_slice msg primes out lo hi =
+let residues_many msg primes =
+  if Array.exists (fun p -> p < 1 || p >= max_modulus) primes then
+    invalid_arg "Fingerprint.residues_many: modulus outside [1, 2^30)";
   let len = Bytes.length msg in
-  let width = hi - lo in
-  let p = Array.sub primes lo width in
+  let width = Array.length primes in
+  let p = primes in
   let c = Array.map (fun p -> (1 lsl 56) mod p) p in
   let inv = Array.make width 0.0 in
   for k = 0 to width - 1 do
@@ -163,49 +163,24 @@ let residues_slice msg primes out lo hi =
   for i = !off to len - 1 do
     w := (!w lsl 8) lor Char.code (Bytes.unsafe_get msg i)
   done;
-  for k = 0 to width - 1 do
-    let p = p.(k) in
-    let c = if shift < p then shift else shift mod p in
-    let r = step acc.(k) c inv.(k) p !w mod p in
-    out.(lo + k) <- (if r < 0 then r + p else r)
-  done
+  Array.init width (fun k ->
+      let p = p.(k) in
+      let c = if shift < p then shift else shift mod p in
+      let r = step acc.(k) c inv.(k) p !w mod p in
+      if r < 0 then r + p else r)
 
-(* Sharding the PRIME dimension pays only when each shard still sweeps a
-   large message for several primes; below this many prime*byte units the
-   dispatch overhead wins. *)
-let shard_min_work = 1 lsl 18
-
-let residues_many ?pool msg primes =
-  if Array.exists (fun p -> p < 1 || p >= max_modulus) primes then
-    invalid_arg "Fingerprint.residues_many: modulus outside [1, 2^30)";
-  let t = Array.length primes in
-  let out = Array.make t 0 in
-  (match pool with
-  | Some pl
-    when t >= 2
-         && Bytes.length msg * t >= shard_min_work
-         && Util.Pool.num_domains pl > 0 ->
-    let shards = min t (Util.Pool.num_domains pl + 1) in
-    let bounds = Array.init shards (fun s -> (s * t / shards, (s + 1) * t / shards)) in
-    let (_ : unit array) =
-      Util.Pool.map_jobs pl bounds (fun (lo, hi) -> residues_slice msg primes out lo hi)
-    in
-    ()
-  | _ -> residues_slice msg primes out 0 t);
-  out
-
-let make ?pool rng ~t msg =
+let make rng ~t msg =
   let primes = sample_primes rng t in
-  { primes; residues = residues_many ?pool msg primes }
+  { primes; residues = residues_many msg primes }
 
 (* Primes arrive off the wire; an honest fingerprint only ever carries
    [prime_bits]-bit primes, so any other modulus (0, 1, or one the kernel
    cannot take) is a rejection, not an exception or a trivial match. *)
 let sampled_modulus p = p >= 1 lsl (prime_bits - 1) && p < 1 lsl prime_bits
 
-let check ?pool fp msg =
+let check fp msg =
   Array.for_all sampled_modulus fp.primes
-  && fp.residues = residues_many ?pool msg fp.primes
+  && fp.residues = residues_many msg fp.primes
 
 let matches fp1 fp2 =
   if fp1.primes <> fp2.primes then

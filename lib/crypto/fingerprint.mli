@@ -36,7 +36,7 @@ val residue : bytes -> int -> int
     (exposed so tests can pin lengths that straddle chunk boundaries). *)
 val chunk_bytes : int
 
-(** [residues_many ?pool msg primes] = [Array.map (residue msg) primes],
+(** [residues_many msg primes] = [Array.map (residue msg) primes],
     computed in a single pass over [msg] with no integer division in the
     sweep: each {!chunk_bytes}-byte chunk is loaded once and folded into
     {e all} accumulators as [acc·(2⁵⁶ mod p) + chunk], the multiple of
@@ -44,25 +44,19 @@ val chunk_bytes : int
     accumulators stay within [p + 2¹¹] of zero and are normalized once at
     the end, so the result is exact, bit-identical to the per-prime
     reference.  Raises [Invalid_argument] if a modulus is outside
-    [\[1, 2³⁰)].
+    [\[1, 2³⁰)]. *)
+val residues_many : bytes -> int array -> int array
 
-    [?pool] shards the {e prime} dimension across domains when the
-    [t × |msg|] work is large enough to amortize dispatch; each job owns a
-    disjoint slice of the result array (the [Util.Pool] discipline), so
-    the output is independent of the domain count.  Calls issued from
-    inside a pool job run inline (see {!Util.Pool.map_jobs}). *)
-val residues_many : ?pool:Util.Pool.t -> bytes -> int array -> int array
-
-(** [make ?pool rng ~t msg] samples primes and computes the fingerprint
+(** [make rng ~t msg] samples primes and computes the fingerprint
     (residues via {!residues_many}). *)
-val make : ?pool:Util.Pool.t -> Util.Prng.t -> t:int -> bytes -> fp
+val make : Util.Prng.t -> t:int -> bytes -> fp
 
-(** [check ?pool fp msg] recomputes the residues of [msg] at [fp.primes]
+(** [check fp msg] recomputes the residues of [msg] at [fp.primes]
     in one {!residues_many} sweep and compares — the receiver side of
     Algorithm 1.  A fingerprint whose arity differs or whose moduli are
     not all 29-bit (as {!sample_primes} draws them) is rejected: [false],
     never an exception, whatever a decoded message carries. *)
-val check : ?pool:Util.Pool.t -> fp -> bytes -> bool
+val check : fp -> bytes -> bool
 
 (** [matches fp1 fp2] — equality of two fingerprints over the same primes;
     [Invalid_argument] if the primes differ. *)

@@ -173,6 +173,3 @@ let transport t ~stage ~me ~dst payload ~push =
 
 let send t net ~stage ~src ~dst payload =
   transport t ~stage ~me:src ~dst payload ~push:(fun b -> Net.send net ~src ~dst b)
-
-let send_p t p ~stage ~dst payload =
-  transport t ~stage ~me:(Net.Party.id p) ~dst payload ~push:(fun b -> Net.Party.send p ~dst b)

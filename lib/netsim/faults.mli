@@ -20,13 +20,9 @@
     {!corrupt_payload} are pure: they derive a child stream with
     {!Util.Prng.derive} (the parent is never advanced) and may be called
     from any domain, in any order.  {!corrupt_payload} with [~replay:true]
-    (the default) additionally reads/writes a per-party last-payload slot;
-    under the {!Net.run_round} ownership contract that slot is touched
-    only by the owning party's step, so it is safe from any hook that is
-    invoked with [~me =] the stepping party — which is every hook in the
-    library {e except} {!Equality.pairwise}'s (those run one job per pair,
-    so the same [me] can be live on two domains; pass [~replay:false]
-    there, or better, use only the pure {!decide}). *)
+    (the default) additionally reads/writes a per-party last-payload slot,
+    so a [t] belongs to the one domain that runs the protocol, like the
+    {!Net.t} it injects into. *)
 
 type kind = Drop | Duplicate | Flip | Truncate | Replay | Equivocate | Crash
 
@@ -117,8 +113,7 @@ val fresh_bytes : t -> stage:int -> me:int -> dst:int -> len:int -> bytes
     recipient of this payload — a consistent lie), truncate (same prefix
     length for every recipient), or replay (the previous payload this
     party pushed through the engine).  With [~replay:false] the replay
-    kind is skipped and no mutable state is touched (see the
-    domain-safety note above). *)
+    kind is skipped and no mutable state is touched. *)
 val corrupt_payload : t -> ?replay:bool -> stage:int -> me:int -> dst:int -> bytes -> bytes
 
 (** {1 Transport wrappers}
@@ -126,11 +121,7 @@ val corrupt_payload : t -> ?replay:bool -> stage:int -> me:int -> dst:int -> byt
     The network-handle form of the engine: route a corrupted party's send
     through the schedule.  Applies, in order: crash/drop suppression,
     {!corrupt_payload}, then a duplicate coin that sends the mutated
-    payload twice.  Must be called from the domain owning the sender's
-    state (plain sequential code, or inside that party's [run_round]
-    step). *)
+    payload twice.  Must be called from the domain that owns the
+    network. *)
 
 val send : t -> Net.t -> stage:int -> src:int -> dst:int -> bytes -> unit
-
-(** Same, buffering through a {!Net.Party.p} compute-phase handle. *)
-val send_p : t -> Net.Party.p -> stage:int -> dst:int -> bytes -> unit

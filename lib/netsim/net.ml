@@ -396,150 +396,6 @@ let active_parties t =
   done;
   !acc
 
-(* Undrained-inbox size — the [run_round] shard weight. *)
-let live_of t i = t.inboxes.(i).live
-
-(* ---- Intra-round parallel party stepping ---------------------------- *)
-
-(* [run_round] splits one protocol round into two phases:
-
-   - a {e compute} phase in which every listed party runs its step
-     function.  A step may drain its own inbox ([Party.recv],
-     [Party.recv_from], [Party.peek] reach only the party's own mailbox —
-     state no other party touches) and buffers its sends into a private
-     outbox (two growable arrays in its handle: destinations and
-     payloads), so concurrent steps share {e no} mutable state and the
-     phase can be sharded across pool domains;
-
-   - a sequential {e commit} phase on the calling domain that replays the
-     outboxes through [send] in ascending sender id, each outbox in send
-     order.
-
-   Because the sync transport delivers stably by sender and every counter
-   update is commutative (sums, set unions), the committed network state
-   is a pure function of {i which} messages each party produced — not of
-   shard count or scheduling — so delivery order, bit/locality/message
-   accounting, and all later [recv]s are bit-identical at any domain
-   count.  See test_net_parallel's differential property.
-
-   The compute phase only reads the shared [inboxes] array and mutates
-   the inbox records of its own shard's parties (draining, resetting,
-   building the per-sender index).  The shared mutations — creating an
-   inbox record (in [deliver], during [step]), logging an edge (in
-   [send], during commit) and folding the log into the peer sets (in
-   [step] and the peer queries, which a step must not call) — are all
-   sequential, and the shared [no_inbox] sentinel is never written
-   because every receive returns first on an empty inbox. *)
-
-module Party = struct
-  (* The outbox is two growable arrays, destinations and payloads in send
-     order ([sent] slots valid), so a buffered send stores two words
-     instead of allocating a tuple and a queue cell.  Both start empty: a
-     party that sends nothing allocates nothing. *)
-  type p = {
-    net : t;
-    me : int;
-    mutable dsts : int array;
-    mutable payloads : bytes array;
-    mutable sent : int;
-  }
-
-  let id p = p.me
-  let recv p = recv p.net ~dst:p.me
-  let recv_from p ~src = recv_from p.net ~dst:p.me ~src
-  let recv_one p ~src = recv_one p.net ~dst:p.me ~src
-  let peek p = peek p.net ~dst:p.me
-
-  let send p ~dst payload =
-    (* Validate eagerly (same checks as [send]) so a bad destination
-       faults inside the offending party's step, but touch nothing
-       shared: the real send happens at commit. *)
-    check_party p.net dst "send";
-    if p.me = dst then invalid_arg "Net.send: self-send";
-    let k = p.sent in
-    if k = Array.length p.dsts then begin
-      let cap = max 8 (2 * k) in
-      let dsts = Array.make cap 0 and payloads = Array.make cap Bytes.empty in
-      Array.blit p.dsts 0 dsts 0 k;
-      Array.blit p.payloads 0 payloads 0 k;
-      p.dsts <- dsts;
-      p.payloads <- payloads
-    end;
-    Array.unsafe_set p.dsts k dst;
-    Array.unsafe_set p.payloads k payload;
-    p.sent <- k + 1
-end
-
-let run_round ?pool t ~parties f =
-  let ps = Array.of_list parties in
-  let len = Array.length ps in
-  (* Shard ownership must be exclusive: a duplicated party would be
-     stepped by two domains at once.  The membership structure is sized
-     to the frontier, not to n — an O(n) scratch array per call would
-     dominate at n = 10⁶ with a 100-party frontier. *)
-  let check_dup =
-    if t.num_parties <= 1 lsl 16 then begin
-      let seen = Array.make t.num_parties false in
-      fun i ->
-        if seen.(i) then invalid_arg "Net.run_round: duplicate party";
-        seen.(i) <- true
-    end
-    else begin
-      let seen = Hashtbl.create (2 * max 1 len) in
-      fun i ->
-        if Hashtbl.mem seen i then invalid_arg "Net.run_round: duplicate party";
-        Hashtbl.add seen i ()
-    end
-  in
-  Array.iter
-    (fun i ->
-      check_party t i "run_round";
-      check_dup i)
-    ps;
-  let handles =
-    Array.map (fun me -> { Party.net = t; me; dsts = [||]; payloads = [||]; sent = 0 }) ps
-  in
-  (* Compute phase. *)
-  let results =
-    match pool with
-    | None ->
-      (* Explicit ascending loop: party steps run in list order, exactly
-         the pre-run_round sequential code path. *)
-      let out = Array.make len None in
-      for k = 0 to len - 1 do
-        out.(k) <- Some (f handles.(k))
-      done;
-      Array.map Option.get out
-    | Some pool ->
-      let nshards = max 1 (min len (Util.Pool.num_domains pool + 1)) in
-      (* Size-aware sharding: weight each party by its undrained inbox
-         (+1 so empty-inbox parties still count), then greedy-bin-pack so
-         a single hot party no longer drags a whole contiguous block onto
-         one worker.  Shard composition is deterministic (pure function of
-         the inbox sizes, which are jobs-independent) and invisible to the
-         output: results land at each party's own index and the commit
-         below orders by party id, not by shard. *)
-      let weights = Array.map (fun me -> 1 + live_of t me) ps in
-      let shards = Util.Pool.pack_bins ~weights ~bins:nshards in
-      let out = Array.make len None in
-      let (_ : unit array) =
-        Util.Pool.map_jobs pool shards (fun shard ->
-            Array.iter (fun j -> out.(j) <- Some (f handles.(j))) shard)
-      in
-      Array.map Option.get out
-  in
-  (* Commit phase: ascending sender id, each outbox in send order. *)
-  let order = Array.init len (fun k -> k) in
-  Array.sort (fun a b -> compare ps.(a) ps.(b)) order;
-  Array.iter
-    (fun k ->
-      let h = handles.(k) in
-      for m = 0 to h.Party.sent - 1 do
-        send t ~src:h.Party.me ~dst:h.Party.dsts.(m) h.Party.payloads.(m)
-      done)
-    order;
-  Array.to_list results
-
 type snapshot = { snap_bits : int; snap_msgs : int; snap_rounds : int }
 
 let snapshot t =

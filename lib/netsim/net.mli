@@ -24,13 +24,13 @@
     message) and one transport submit.  The peer sets are brought up to
     date from the log in one fold, which sizes each touched set once for
     all its new entries, at every {!step} (before delivery) and at every
-    peer query ({!peers}, {!locality}, {!max_locality}).  Those queries
-    therefore mutate the network: never call them inside a
-    {!run_round} compute phase.  The log holds one word per message
+    peer query ({!peers}, {!locality}, {!max_locality}), so those
+    queries mutate the network.  The log holds one word per message
     sent since the last fold, in a buffer kept from round to round (at
     most twice the busiest round's messages).  {!step} under the sync
     transport delivers in one pass when the round's sends ascended by
-    sender, as every {!run_round} commit does; {!recv} is linear in the
+    sender, as every protocol's loop over an ascending party list
+    sends them; {!recv} is linear in the
     party's inbox; and {!recv_from}/{!recv_one} take O(log m) plus the
     sender's own messages in an inbox of m messages.  A party's inbox record is
     created on its first delivery and its peer set at the first fold
@@ -39,28 +39,13 @@
     a hot one).
 
     Domain-safety contract: a [t] is single-owner mutable state with no
-    internal locking.  Two domains must never touch the same instance;
-    one domain may freely own many.  The bench harness's parallel
-    scheduler ([Util.Pool]) relies on this: every job creates its own
-    network (plus its own [Util.Prng.t] — same contract), which is
-    sufficient because no protocol module in the library keeps mutable
-    state that outlives a single [run] call.
-
-    {!run_round} extends the contract {e inside} one instance for the
-    duration of its compute phase: ownership of [t] is temporarily
-    partitioned by party.  A worker domain that has been handed a shard
-    of parties exclusively owns those parties' inboxes (the only state
-    {!Party.recv}/{!Party.recv_from}/{!Party.peek} mutate) and their
-    private outboxes; the network-global state — pending queues, bit and
-    locality counters, the round clock — is owned by {e nobody} during
-    the compute phase and only mutated by the sequential commit phase on
-    the calling domain.  Party step functions must therefore reach the
-    network exclusively through their {!Party.p} handle (never through
-    the raw [t]), and must not share mutable state with other parties'
-    steps; per-party slots of a caller-owned array (index [i] written
-    only by party [i]'s step) are safe, as is any immutable or freshly
-    allocated state.  {!Util.Pool.map_jobs} supplies the happens-before
-    edges between the phases. *)
+    internal locking, driven by one domain from start to finish — each
+    protocol round is a plain loop over its parties on that domain.  Two
+    domains must never touch the same instance; one domain may freely
+    own many.  The bench harness's parallel scheduler relies on this:
+    every job creates its own network (plus its own [Util.Prng.t] — same
+    contract), which is sufficient because no protocol module in the
+    library keeps mutable state that outlives a single [run] call. *)
 
 type t
 
@@ -161,81 +146,6 @@ val recv_one : t -> dst:int -> src:int -> bytes option
 
 (** [peek t ~dst] — inbox contents without draining. *)
 val peek : t -> dst:int -> (int * bytes) list
-
-(** {1 Intra-round parallel party stepping}
-
-    One protocol round ("every party drains its mailbox, thinks, and
-    posts next round's messages") as a two-phase bulk operation: a
-    compute phase that may run party steps concurrently on a
-    {!Util.Pool}, and a sequential commit phase that realizes the sends.
-    The committed state is bit-identical at any domain count — see the
-    determinism argument in EXPERIMENTS.md and the domain-safety
-    contract above. *)
-
-module Party : sig
-  (** A party's capability during a {!run_round} compute phase: its own
-      mailbox plus a private outbox.  Handles are only valid inside the
-      step function they are passed to. *)
-  type p
-
-  val id : p -> int
-
-  (** Same semantics as the network-level {!recv}/{!recv_from}/{!peek},
-      restricted to this party's own inbox. *)
-
-  val recv : p -> (int * bytes) list
-
-  val recv_from : p -> src:int -> bytes list
-  val recv_one : p -> src:int -> bytes option
-  val peek : p -> (int * bytes) list
-
-  (** [send p ~dst payload] buffers a send from this party.  Argument
-      validation (range, self-send) happens immediately, with the same
-      exceptions as the network-level {!val-send}; the message itself is
-      appended to the party's outbox — two growable arrays in the
-      handle, destinations and payloads in send order, so a buffered
-      send allocates nothing beyond the arrays' doubling — and is
-      metered and made deliverable only at commit. *)
-  val send : p -> dst:int -> bytes -> unit
-end
-
-(** [run_round ?pool t ~parties f] steps every party in [parties]
-    through [f] and returns the results in list order.
-
-    Compute phase: with [?pool] absent, steps run sequentially in list
-    order — today's plain per-party loop.  With [~pool], [parties] is cut
-    into one shard per pool domain (the calling domain included), and
-    shards run concurrently; each party may drain its own inbox and
-    buffer sends through its {!Party.p} handle, touching no shared state.
-
-    {b Size-aware sharding.}  Shards are not contiguous equal-count
-    blocks: each party is weighted by its undrained inbox size and the
-    parties are greedy-bin-packed ([Util.Pool.pack_bins], heaviest first
-    into the lightest shard), so a hot party — one addressed by everyone
-    this round — ends up isolated in its own shard instead of
-    serializing a whole contiguous block behind it.  The packing is a
-    deterministic function of the inbox sizes (themselves identical at
-    any jobs count) and is unobservable in the output: results land at
-    each party's own index in the returned list and the commit below
-    orders by party id, never by shard.
-
-    Commit phase (always sequential, on the calling domain): outboxes
-    (each a destination array and a payload array, see {!Party.send})
-    are replayed through {!val-send} in ascending {e sender id}, each in
-    send order.  Since delivery is stable by sender and all counter
-    updates commute, every observable — delivery order, per-party bit
-    counters, locality sets, message and round counts — is identical to
-    the sequential run at any domain count.
-
-    [run_round] does not advance the round clock; call {!step} to
-    deliver the committed messages, as after plain {!val-send}s.
-
-    Raises [Invalid_argument] on an out-of-range or duplicated party.
-    If a step raises, the exception propagates deterministically (the
-    first offending party in list order when sequential; the first
-    offending shard in shard order under a pool) and {e no} sends are
-    committed. *)
-val run_round : ?pool:Util.Pool.t -> t -> parties:int list -> (Party.p -> 'a) -> 'a list
 
 (** {1 Accounting} *)
 

@@ -41,8 +41,8 @@ let sync () =
     if c > 0 then begin
       let { srcs; dsts; payloads; _ } = p in
       (* Canonical order: ascending sender, then submission order.  Every
-         run_round commit and ascending send loop submits in that order
-         already; anything else is stably sorted by sender. *)
+         protocol's per-party send loop submits in that order already;
+         anything else is stably sorted by sender. *)
       if p.ascending then
         for k = 0 to c - 1 do
           deliver ~src:srcs.(k) ~dst:dsts.(k) payloads.(k)

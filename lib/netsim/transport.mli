@@ -44,7 +44,7 @@ type t = {
     messages sit in flat arrays in submission order: [submit] is O(1)
     and allocation-free (amortized), and [advance] delivers them stably
     by sender — in one pass when submissions already ascended by sender,
-    as every [Net.run_round] commit and ascending send loop does, and
+    as every protocol's per-party send loop does, and
     after an O(m log m) sort of the m in-flight messages otherwise.
     Memory is O(in-flight messages), independent of n. *)
 val sync : unit -> t

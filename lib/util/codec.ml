@@ -156,8 +156,13 @@ let read_string r = Bytes.to_string (read_bytes r)
    exceeding the remaining window is garbage (a torn or corrupted frame).
    Rejecting it BEFORE allocating matters: [Array.init] materializes the
    full array up front, so an unchecked 2^40 claimed by a flipped varint
-   is an out-of-memory bomb rather than a clean [Decode_error]. *)
+   is an out-of-memory bomb rather than a clean [Decode_error].  A
+   negative count (a 9-byte varint with its top bit set) is garbage too,
+   and would otherwise escape as [Invalid_argument] from [List.init] or
+   [Array.init]. *)
 let read_count r len =
+  if len < 0 then
+    raise (Decode_error (Printf.sprintf "negative count %d at offset %d" len r.pos));
   if len > r.limit - r.pos then
     raise
       (Decode_error

@@ -25,8 +25,7 @@ val reset : writer -> unit
     the scratch can be reused immediately.  {b Domain ownership:} a
     scratch writer is mutable state — it must be owned by a single domain
     (create it inside the pool job, or only use it from the calling
-    domain); sharing one writer across concurrent [Net.run_round] party
-    steps races. *)
+    domain). *)
 val encode_into : writer -> (writer -> 'a -> unit) -> 'a -> bytes
 
 (** [write_varint w v] appends [v] in LEB128 style: seven bits per byte,
@@ -92,9 +91,7 @@ val read_raw : reader -> int -> bytes
     treated as read-only — mutating either aliases the other.  Simulator
     payloads are immutable by convention (senders never touch a payload
     after [Net.send], receivers never write into one), so views over
-    received messages are safe to hold for the rest of the round,
-    including from [Net.run_round] worker domains (the payload was
-    published by the round's sequential commit phase).  Copy out with
+    received messages are safe to hold for the rest of the round.  Copy out with
     {!view_to_bytes} anything that must outlive the buffer. *)
 
 type view = { buf : bytes; off : int; len : int }

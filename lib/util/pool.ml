@@ -29,12 +29,11 @@ let default_num_domains () = max 0 (min (Domain.recommended_domain_count () - 1)
 
 (* True while the current domain is executing pool work: for the lifetime
    of a worker domain, and inside [map_jobs] on the calling domain.  A
-   nested [map_jobs] (e.g. [Netsim.Net.run_round ~pool] called from a
-   protocol that is itself running as a pool job) must not publish a
-   second batch — workers are already busy and the caller would deadlock
-   waiting on them — so it runs its jobs inline instead.  Inline execution
-   returns the same results (the scheduling model is order-insensitive by
-   construction), only the parallelism degenerates. *)
+   nested [map_jobs] (a job that fans out on a pool itself) must not
+   publish a second batch — workers are already busy and the caller would
+   deadlock waiting on them — so it runs its jobs inline instead.  Inline
+   execution returns the same results (the scheduling model is
+   order-insensitive by construction), only the parallelism degenerates. *)
 let inside_pool : bool Domain.DLS.key = Domain.DLS.new_key (fun () -> false)
 
 (* Drain [b]: claim indices until the counter runs past the end.  Returns
@@ -156,34 +155,6 @@ let map_jobs t jobs f =
         | None -> assert false (* remaining = 0 implies every slot was written *))
       results
   end
-
-(* Greedy LPT (longest-processing-time) bin packing: place items
-   heaviest-first into the currently lightest bin.  Classic bound: the
-   heaviest bin carries at most (4/3 - 1/(3·bins)) of the optimum, so as
-   long as no single item dominates (w_max <= 1.5x the mean bin load) no
-   bin exceeds 2x the mean — the balance property test_net_parallel
-   asserts.  Everything is deterministic: ties break on the lower index,
-   and each bin lists its items in ascending index order. *)
-let pack_bins ~weights ~bins =
-  let n = Array.length weights in
-  let bins = max 1 bins in
-  let order = Array.init n (fun i -> i) in
-  Array.sort
-    (fun a b ->
-      match compare weights.(b) weights.(a) with 0 -> compare a b | c -> c)
-    order;
-  let loads = Array.make bins 0 in
-  let members = Array.make bins [] in
-  Array.iter
-    (fun i ->
-      let best = ref 0 in
-      for b = 1 to bins - 1 do
-        if loads.(b) < loads.(!best) then best := b
-      done;
-      loads.(!best) <- loads.(!best) + weights.(i);
-      members.(!best) <- i :: members.(!best))
-    order;
-  Array.map (fun l -> Array.of_list (List.sort compare l)) members
 
 let shutdown t =
   Mutex.lock t.m;

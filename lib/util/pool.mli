@@ -1,6 +1,7 @@
 (** Fixed-size [Domain]-based worker pool with a deterministic parallel
-    map — the multicore execution engine under [bench/main.exe] and any
-    future parallel sweep.
+    map — the engine behind [bench/main.exe]'s sweep-level [--jobs] and
+    the soak's schedule fan-out.  It runs whole independent jobs (a sweep
+    point, a soak schedule), never the parties of one protocol round.
 
     {b Scheduling model.}  {!map_jobs} publishes a job array to the pool;
     workers (plus the calling domain, which always participates) claim
@@ -48,10 +49,10 @@ val num_domains : t -> int
     {e lowest} such index is re-raised in the caller (deterministically).
     Reentrancy: a {!map_jobs} issued from inside a job (on any pool) does
     not publish a second batch — it runs its jobs inline on the current
-    domain and returns the same results.  This is what lets
-    [Netsim.Net.run_round ~pool] be called from protocol code that is
-    itself executing as a pool job: the nested call degenerates to the
-    sequential map, which is observationally identical. *)
+    domain and returns the same results.  The workers are all busy with
+    the outer batch, so publishing would leave the nested caller waiting
+    on itself; inline, a nested call is merely sequential, which is
+    observationally identical. *)
 val map_jobs : t -> 'a array -> ('a -> 'b) -> 'b array
 
 (** Instrumentation: how many jobs each executor drained in the most
@@ -62,15 +63,6 @@ val map_jobs : t -> 'a array -> ('a -> 'b) -> 'b array
     scheduling-dependent (workers race for jobs), so treat it as a load
     observation, not something to assert exact values on. *)
 val last_job_counts : t -> int array option
-
-(** [pack_bins ~weights ~bins] partitions indices [0 .. length weights - 1]
-    into [max 1 bins] bins by greedy LPT (heaviest item first, into the
-    currently lightest bin).  Deterministic — ties break on the lower
-    index — and each bin lists its indices in ascending order.  Guarantee:
-    when no single weight exceeds 1.5x the mean bin load, no bin's total
-    exceeds 2x the mean (LPT's 4/3 bound).  Used by [Netsim.Net.run_round]
-    for size-aware sharding; pure, needs no pool. *)
-val pack_bins : weights:int array -> bins:int -> int array array
 
 (** Terminates the workers (idempotent).  Further {!map_jobs} calls raise
     [Invalid_argument]. *)

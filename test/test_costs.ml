@@ -1,9 +1,7 @@
 (* Machine-checked cost specs: every protocol's closed-form
    bit/message/round formula (Analysis.Costs) asserted against the
    network simulator's measured accounting — pinned at n ∈ {4, 6, 8},
-   then fuzzed over random sizes, and for the pool-aware protocols
-   checked at jobs 1 and 8 (the spec must hold at any domain count by
-   the determinism contract). *)
+   then fuzzed over random sizes. *)
 
 let ns = [ 4; 6; 8 ]
 let params ?(alpha = 2) n = Mpc.Params.make ~n ~h:(n / 2) ~lambda:8 ~alpha ()
@@ -99,11 +97,11 @@ let a2a_spec ~variant ~n ~len =
     ~idsum:(Const (varint_sum_ids (List.init n (fun i -> i))))
     ~len:(Const len) ~n:(Const n) ~lambda:(Const 8)
 
-let run_a2a ?pool ~variant ~n ~len ~seed () =
+let run_a2a ~variant ~n ~len ~seed () =
   let net = Netsim.Net.create n in
   let rng = Util.Prng.create seed in
   ignore
-    (Mpc.All_to_all.run ?pool net rng (params n) ~variant
+    (Mpc.All_to_all.run net rng (params n) ~variant
        ~participants:(List.init n (fun i -> i))
        ~input:(fun i -> Bytes.make len (Char.chr (97 + (i mod 26))))
        ~corruption:(Netsim.Corruption.none ~n)
@@ -149,14 +147,14 @@ let test_pin_sparse_network () =
         (env []))
     ns
 
-let run_gossip ?pool ~n ~len ~seed () =
+let run_gossip ~n ~len ~seed () =
   let graph = build_graph ~seed ~n in
   let net = Netsim.Net.create n in
   let rng = Util.Prng.create (seed + 1) in
   let obs = Analysis.Costs.Obs.create () in
   let sources = List.init n (fun i -> (i, Bytes.make len (Char.chr (97 + (i mod 26))))) in
   let outs =
-    Mpc.Gossip.run ?pool ~obs net rng (params n) ~graph ~sources
+    Mpc.Gossip.run ~obs net rng (params n) ~graph ~sources
       ~corruption:(Netsim.Corruption.none ~n)
       ~adv:Mpc.Gossip.honest_adv
   in
@@ -299,14 +297,7 @@ let test_pin_two_party () =
         (Analysis.Costs.env []))
     ns
 
-(* ---- QCheck: eval = measured over random sizes (and domain counts) ---- *)
-
-let with_pool ~jobs f =
-  if jobs <= 1 then f None
-  else begin
-    let pool = Util.Pool.create ~num_domains:(jobs - 1) () in
-    Fun.protect ~finally:(fun () -> Util.Pool.shutdown pool) (fun () -> f (Some pool))
-  end
+(* ---- QCheck: eval = measured over random sizes ---- *)
 
 let prop_equality =
   QCheck.Test.make ~count:60 ~name:"cost spec: equality.run over random n/len/content"
@@ -339,27 +330,23 @@ let prop_broadcast =
         (Mpc.Broadcast.cost_spec ~variant ~n:(Const n) ~lambda:(Const 8) ~len:(Const len))
         (env []))
 
-let prop_all_to_all ~jobs =
-  QCheck.Test.make
-    ~count:(if jobs > 1 then 15 else 40)
-    ~name:(Printf.sprintf "cost spec: all_to_all at jobs=%d" jobs)
+(* "jobs=1" in the names: each property runs its protocol sequentially,
+   on the calling domain. *)
+let prop_all_to_all =
+  QCheck.Test.make ~count:40 ~name:"cost spec: all_to_all at jobs=1"
     QCheck.(triple (int_range 3 16) (int_bound 128) bool)
     (fun (n, len, naive) ->
       let variant = if naive then Mpc.All_to_all.Naive else Mpc.All_to_all.Fingerprinted in
-      with_pool ~jobs (fun pool ->
-          let net = run_a2a ?pool ~variant ~n ~len ~seed:(n + len) () in
-          spec_holds net (a2a_spec ~variant ~n ~len) (Analysis.Costs.env [])))
+      let net = run_a2a ~variant ~n ~len ~seed:(n + len) () in
+      spec_holds net (a2a_spec ~variant ~n ~len) (Analysis.Costs.env []))
 
-let prop_gossip ~jobs =
-  QCheck.Test.make
-    ~count:(if jobs > 1 then 10 else 25)
-    ~name:(Printf.sprintf "cost spec: gossip at jobs=%d" jobs)
+let prop_gossip =
+  QCheck.Test.make ~count:25 ~name:"cost spec: gossip at jobs=1"
     QCheck.(pair (int_range 6 24) (int_bound 96))
     (fun (n, len) ->
-      with_pool ~jobs (fun pool ->
-          let net, obs = run_gossip ?pool ~n ~len ~seed:(n + len) () in
-          let open Analysis.Costs in
-          spec_holds net (Mpc.Gossip.cost_spec ~len:(Const len)) (env ~obs [])))
+      let net, obs = run_gossip ~n ~len ~seed:(n + len) () in
+      let open Analysis.Costs in
+      spec_holds net (Mpc.Gossip.cost_spec ~len:(Const len)) (env ~obs []))
 
 let () =
   Alcotest.run "costs-vs-measured"
@@ -389,9 +376,7 @@ let () =
         [
           QCheck_alcotest.to_alcotest prop_equality;
           QCheck_alcotest.to_alcotest prop_broadcast;
-          QCheck_alcotest.to_alcotest (prop_all_to_all ~jobs:1);
-          QCheck_alcotest.to_alcotest (prop_all_to_all ~jobs:8);
-          QCheck_alcotest.to_alcotest (prop_gossip ~jobs:1);
-          QCheck_alcotest.to_alcotest (prop_gossip ~jobs:8);
+          QCheck_alcotest.to_alcotest prop_all_to_all;
+          QCheck_alcotest.to_alcotest prop_gossip;
         ] );
     ]

@@ -196,8 +196,9 @@ let test_pairwise_shares_equal_messages () =
 
    [Reference] is [pairwise] as it was before a member whose value is
    byte-equal to its predecessor's came to share that member's residue
-   table: it computes a table per member.  Apart from its comments it is kept verbatim, so any change
-   in what the protocol puts on the wire, decides or draws shows up as a
+   table: it computes a table per member.  Apart from its comments and
+   the removal of its pooled path it is kept verbatim, so any change in
+   what the protocol puts on the wire, decides or draws shows up as a
    difference.  The property runs both on random member sets over a few
    value classes with near-duplicates, under random corruption, four
    adversaries and a random λ, and compares every submitted message
@@ -212,28 +213,7 @@ module Reference = struct
     | fp -> Some fp
     | exception Util.Codec.Decode_error _ -> None
 
-  let par_positions pool ~n ~init body =
-    match pool with
-    | Some p when n > 1 ->
-      let nchunks = max 1 (min n ((Util.Pool.num_domains p + 1) * 8)) in
-      let chunks = Array.init nchunks (fun c -> (c * n / nchunks, (c + 1) * n / nchunks)) in
-      let (_ : unit array) =
-        Util.Pool.map_jobs p chunks (fun (lo, hi) ->
-            let st = init () in
-            for pos = lo to hi - 1 do
-              body st pos
-            done)
-      in
-      ()
-    | _ ->
-      let st = init () in
-      for pos = 0 to n - 1 do
-        body st pos
-      done
-
-  let no_scratch () = ()
-
-  let pairwise ?pool ?deadline net rng params ~members ~value ~corruption ~adv =
+  let pairwise ?deadline net rng params ~members ~value ~corruption ~adv =
     let members_arr = Array.of_list members in
     let value =
       let cache = Hashtbl.create 16 in
@@ -255,10 +235,9 @@ module Reference = struct
     let t = Mpc.Params.fingerprint_t params ~msg_len:max_len in
     let pool_size = 2 * t in
     let crs_primes = Crypto.Fingerprint.sample_primes rng pool_size in
-    let member_residues = Array.make k [||] in
-    par_positions pool ~n:k ~init:no_scratch (fun () idx ->
-        let v = value members_arr.(idx) in
-        member_residues.(idx) <- Crypto.Fingerprint.residues_many v crs_primes);
+    let member_residues =
+      Array.map (fun m -> Crypto.Fingerprint.residues_many (value m) crs_primes) members_arr
+    in
     let pairs = Array.make (k * (k - 1) / 2) 0 in
     let posmat = Array.make (k * k) (-1) in
     let npairs = ref 0 in
@@ -276,47 +255,46 @@ module Reference = struct
     let npairs = !npairs in
     let payloads = Array.make npairs Bytes.empty in
     let sel_store = if pool_size <= 256 then Some (Bytes.create (npairs * t)) else None in
-    let pair_scratch () =
-      (Util.Codec.writer (), Array.make pool_size 0, Array.make t 0)
-    in
+    let scratch = Util.Codec.writer () in
+    let perm = Array.make pool_size 0 and sel = Array.make t 0 in
     let select_pair ~perm ~sel i j =
       let child = Util.Prng.derive rng ~key:((i * net_n) + j) in
       Util.Prng.sample_into child ~n:pool_size ~k:t ~scratch:perm ~dst:sel ~pos:0
     in
-    par_positions pool ~n:npairs ~init:pair_scratch
-      (fun (scratch, perm, sel) pos ->
-        let code = pairs.(pos) in
-        let idx = code / k and jdx = code mod k in
-        let i = members_arr.(idx) and j = members_arr.(jdx) in
-        select_pair ~perm ~sel i j;
-        (match sel_store with
-        | Some store ->
-          let off = pos * t in
-          for s = 0 to t - 1 do
-            Bytes.unsafe_set store (off + s) (Char.unsafe_chr sel.(s))
-          done
-        | None -> ());
-        match adv.Mpc.Equality.tamper_fp with
-        | Some f when is_corrupt i ->
-          let fp =
-            { Crypto.Fingerprint.primes = Array.map (fun s -> crs_primes.(s)) sel;
-              residues = Array.map (fun s -> member_residues.(idx).(s)) sel
-            }
-          in
-          let fp = f ~me:i ~dst:j fp in
-          payloads.(pos) <- Util.Codec.encode_into scratch Crypto.Fingerprint.encode fp
-        | _ ->
-          Util.Codec.reset scratch;
-          let res = member_residues.(idx) in
-          Util.Codec.write_varint scratch t;
-          for s = 0 to t - 1 do
-            Util.Codec.write_varint scratch crs_primes.(sel.(s))
-          done;
-          Util.Codec.write_varint scratch t;
-          for s = 0 to t - 1 do
-            Util.Codec.write_varint scratch res.(sel.(s))
-          done;
-          payloads.(pos) <- Util.Codec.contents scratch);
+    for pos = 0 to npairs - 1 do
+      let code = pairs.(pos) in
+      let idx = code / k and jdx = code mod k in
+      let i = members_arr.(idx) and j = members_arr.(jdx) in
+      select_pair ~perm ~sel i j;
+      (match sel_store with
+      | Some store ->
+        let off = pos * t in
+        for s = 0 to t - 1 do
+          Bytes.unsafe_set store (off + s) (Char.unsafe_chr sel.(s))
+        done
+      | None -> ());
+      match adv.Mpc.Equality.tamper_fp with
+      | Some f when is_corrupt i ->
+        let fp =
+          { Crypto.Fingerprint.primes = Array.map (fun s -> crs_primes.(s)) sel;
+            residues = Array.map (fun s -> member_residues.(idx).(s)) sel
+          }
+        in
+        let fp = f ~me:i ~dst:j fp in
+        payloads.(pos) <- Util.Codec.encode_into scratch Crypto.Fingerprint.encode fp
+      | _ ->
+        Util.Codec.reset scratch;
+        let res = member_residues.(idx) in
+        Util.Codec.write_varint scratch t;
+        for s = 0 to t - 1 do
+          Util.Codec.write_varint scratch crs_primes.(sel.(s))
+        done;
+        Util.Codec.write_varint scratch t;
+        for s = 0 to t - 1 do
+          Util.Codec.write_varint scratch res.(sel.(s))
+        done;
+        payloads.(pos) <- Util.Codec.contents scratch
+    done;
     for pos = 0 to npairs - 1 do
       let code = pairs.(pos) in
       Netsim.Net.send net ~src:members_arr.(code / k) ~dst:members_arr.(code mod k)
@@ -364,31 +342,31 @@ module Reference = struct
         done
       | None -> select_pair ~perm ~sel i j
     in
-    par_positions pool ~n:npairs ~init:pair_scratch
-      (fun (_, perm, sel) pos ->
-        let code = pairs.(pos) in
-        let jdx = code mod k in
-        let i = members_arr.(code / k) and j = members_arr.(jdx) in
-        reload_selection ~perm ~sel pos i j;
-        let verdict =
-          match incoming.(pos) with
-          | Some b ->
-            let res = member_residues.(jdx) in
-            verify_fast b sel res
-            || (match decode_fp b with
-               | Some fp -> (
-                 let expected = Array.map (fun s -> crs_primes.(s)) sel in
-                 if fp.Crypto.Fingerprint.primes = expected then
-                   fp.Crypto.Fingerprint.residues = Array.map (fun s -> res.(s)) sel
-                 else Crypto.Fingerprint.check fp (value j))
-               | None -> false)
-          | None -> false
-        in
-        verdicts.(pos) <- verdict;
-        reported.(pos) <-
-          (match adv.Mpc.Equality.lie_verdict with
-          | Some f when is_corrupt j -> f ~me:j ~dst:i verdict
-          | _ -> verdict));
+    for pos = 0 to npairs - 1 do
+      let code = pairs.(pos) in
+      let jdx = code mod k in
+      let i = members_arr.(code / k) and j = members_arr.(jdx) in
+      reload_selection ~perm ~sel pos i j;
+      let verdict =
+        match incoming.(pos) with
+        | Some b ->
+          let res = member_residues.(jdx) in
+          verify_fast b sel res
+          || (match decode_fp b with
+             | Some fp -> (
+               let expected = Array.map (fun s -> crs_primes.(s)) sel in
+               if fp.Crypto.Fingerprint.primes = expected then
+                 fp.Crypto.Fingerprint.residues = Array.map (fun s -> res.(s)) sel
+               else Crypto.Fingerprint.check fp (value j))
+             | None -> false)
+        | None -> false
+      in
+      verdicts.(pos) <- verdict;
+      reported.(pos) <-
+        (match adv.Mpc.Equality.lie_verdict with
+        | Some f when is_corrupt j -> f ~me:j ~dst:i verdict
+        | _ -> verdict)
+    done;
     let verdict_yes = Bytes.make 1 '\001' and verdict_no = Bytes.make 1 '\000' in
     Array.iteri
       (fun jdx j ->
@@ -449,8 +427,8 @@ let member_value case (_, cls, variant) =
 let gen_case =
   let open QCheck.Gen in
   let base =
-    (* Mostly short values; now and then one large enough for
-       [residues_many] to shard its primes over a pool. *)
+    (* Mostly short values; now and then a large one, whose selections
+       are not stored when λ is large too. *)
     frequency [ (9, string_size (int_bound 200)); (1, string_size (int_range 20_000 24_000)) ]
   in
   let variant =
@@ -493,10 +471,8 @@ let print_case c =
    place, so an implementation that passed a shared residue table to the
    adversary would corrupt other members' checks.  The stateful one
    tampers on every other call, which pins how often and in what order
-   [tamper_fp] is called.  On a pool the calls race, so there it keys the
-   choice on the pair instead, and the pooled run is compared with the
-   reference's pooled run. *)
-let adversary case ~ordered calls =
+   [tamper_fp] is called. *)
+let adversary case calls =
   let bump (fp : Crypto.Fingerprint.fp) s =
     let t = Array.length fp.residues in
     if t > 0 then fp.residues.(s mod t) <- fp.residues.(s mod t) + 1
@@ -519,9 +495,10 @@ let adversary case ~ordered calls =
     in
     { Mpc.Equality.tamper_fp = Some tamper; lie_verdict = None }
   | 2 ->
-    let tamper ~me ~dst fp =
-      let c = Atomic.fetch_and_add calls 1 in
-      if (if ordered then c mod 2 = 0 else (me + dst) mod 2 = 0) then bump fp dst;
+    let tamper ~me:_ ~dst fp =
+      let c = !calls in
+      incr calls;
+      if c mod 2 = 0 then bump fp dst;
       fp
     in
     { Mpc.Equality.tamper_fp = Some tamper; lie_verdict = None }
@@ -532,7 +509,7 @@ let adversary case ~ordered calls =
 
 (* Everything [pairwise] makes observable, with a transport that records
    each submission in order. *)
-let observe case pairwise ?pool () =
+let observe case pairwise =
   let log = ref [] in
   let sync = Netsim.Transport.sync () in
   let transport =
@@ -548,12 +525,12 @@ let observe case pairwise ?pool () =
   let corruption =
     Netsim.Corruption.make ~n:case.n ~corrupted:(Util.Iset.of_list case.corrupted)
   in
-  let calls = Atomic.make 0 in
-  let adv = adversary case ~ordered:(pool = None) calls in
+  let calls = ref 0 in
+  let adv = adversary case calls in
   let values = Hashtbl.create 16 in
   List.iter (fun ((i, _, _) as m) -> Hashtbl.replace values i (member_value case m)) case.members;
   let verdicts =
-    pairwise ?pool net rng (params ~lambda:case.lambda case.n)
+    pairwise net rng (params ~lambda:case.lambda case.n)
       ~members:(List.map (fun (i, _, _) -> i) case.members)
       ~value:(fun i -> Bytes.copy (Hashtbl.find values i))
       ~corruption ~adv
@@ -561,23 +538,15 @@ let observe case pairwise ?pool () =
   ( List.rev !log,
     verdicts,
     (Netsim.Net.total_bits net, Netsim.Net.messages_sent net, Netsim.Net.rounds net),
-    Atomic.get calls,
+    !calls,
     Util.Prng.bits64 rng )
 
-let pool1 = lazy (Util.Pool.create ~num_domains:1 ())
-
 let prop_pairwise_matches_reference =
-  let reference = fun ?pool -> Reference.pairwise ?pool ?deadline:None
-  and pairwise = fun ?pool -> Mpc.Equality.pairwise ?pool ?deadline:None in
-  QCheck.Test.make ~count:300 ~name:"pairwise = per-member-table reference (sequential, pool)"
+  QCheck.Test.make ~count:300 ~name:"pairwise = per-member-table reference"
     (QCheck.make ~print:print_case gen_case)
     (fun case ->
-      let pool = Lazy.force pool1 in
-      let sequential = observe case reference () in
-      (* The pooled stateful adversary keys on the pair, so its run is
-         compared with the reference's run under the same adversary. *)
-      let pooled = if case.adversary = 2 then observe case reference ~pool () else sequential in
-      observe case pairwise () = sequential && observe case pairwise ~pool () = pooled)
+      observe case (Reference.pairwise ?deadline:None)
+      = observe case (Mpc.Equality.pairwise ?deadline:None))
 
 let () =
   Alcotest.run "equality"

@@ -1,9 +1,9 @@
 (* Equivalence suite for the division-free multi-prime fingerprint
    kernel: [Fingerprint.residues_many] must agree bit-for-bit with the
    reference per-prime [Fingerprint.residue] sweep (one integer division
-   per word) on every message length (chunk boundaries included), every
-   modulus the kernel accepts, and at every pool width — the kernel is a
-   pure rewrite of the arithmetic, never of the result. *)
+   per word) on every message length (chunk boundaries included) and
+   every modulus the kernel accepts — the kernel is a pure rewrite of the
+   arithmetic, never of the result. *)
 
 let checkb = Alcotest.(check bool)
 let cb = Crypto.Fingerprint.chunk_bytes
@@ -146,23 +146,6 @@ let test_rejects_bad_moduli () =
        { fp with Crypto.Fingerprint.residues = Array.sub fp.Crypto.Fingerprint.residues 0 2 }
        msg)
 
-let prop_kernel_pool_independent =
-  QCheck.Test.make ~count:40 ~name:"residues_many: pool sharding invisible"
-    QCheck.(pair small_nat (int_range 1 24))
-    (fun (seed, t) ->
-      (* Long enough to clear the sharding work threshold (2^18 prime x
-         bytes) at every t >= 2, the smallest t that shards. *)
-      let msg = msg_of ~seed ((1 lsl 17) + 11) in
-      let primes = prime_set ~seed t in
-      let seq = Crypto.Fingerprint.residues_many msg primes in
-      List.for_all
-        (fun d ->
-          let pool = Util.Pool.create ~num_domains:d () in
-          let r = Crypto.Fingerprint.residues_many ~pool msg primes in
-          Util.Pool.shutdown pool;
-          r = seq)
-        [ 1; 3 ])
-
 (* ---- residues_needed: degenerate clamp ---- *)
 
 (* The per-prime failure bound (8·msg_len/29)/2²⁴ reaches the 1/2 clamp at
@@ -238,7 +221,6 @@ let () =
           Alcotest.test_case "1-byte tails after blocks" `Quick test_single_byte_tail_after_blocks;
           Alcotest.test_case "make/check routed" `Quick test_make_check_route_through_kernel;
           QCheck_alcotest.to_alcotest prop_kernel_equiv_reference;
-          QCheck_alcotest.to_alcotest prop_kernel_pool_independent;
           Alcotest.test_case "edge moduli, extreme chunks" `Quick test_edge_moduli_and_chunks;
           QCheck_alcotest.to_alcotest prop_kernel_any_modulus;
           Alcotest.test_case "out-of-range moduli rejected" `Quick test_rejects_bad_moduli;

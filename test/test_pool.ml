@@ -127,57 +127,6 @@ let test_last_job_counts_zero_workers () =
       ignore (Util.Pool.map_jobs p (Array.init 7 Fun.id) succ);
       checkb "caller drained everything" true (Util.Pool.last_job_counts p = Some [| 7 |]))
 
-(* ---- pack_bins ---- *)
-
-let prop_pack_bins_partition =
-  QCheck.Test.make ~count:200 ~name:"pack_bins: deterministic partition, bins ascending"
-    QCheck.(pair (list_of_size Gen.(int_bound 40) (int_bound 100)) (int_range 1 10))
-    (fun (ws, bins) ->
-      let weights = Array.of_list ws in
-      let plan = Util.Pool.pack_bins ~weights ~bins in
-      let flat = Array.to_list (Array.concat (Array.to_list plan)) in
-      Array.length plan = bins
-      && plan = Util.Pool.pack_bins ~weights ~bins
-      && List.sort compare flat = List.init (Array.length weights) Fun.id
-      && Array.for_all
-           (fun bin -> Array.to_list bin = List.sort compare (Array.to_list bin))
-           plan)
-
-let prop_pack_bins_balance =
-  (* The documented guarantee: when no single weight exceeds 1.5x the mean
-     bin load, no bin's total exceeds 2x the mean. *)
-  QCheck.Test.make ~count:200 ~name:"pack_bins: ≤2x mean load for capped weights"
-    QCheck.(pair (list_of_size Gen.(int_range 1 60) (int_range 1 5)) (int_range 1 8))
-    (fun (ws, bins) ->
-      let weights = Array.of_list ws in
-      let mean = float_of_int (Array.fold_left ( + ) 0 weights) /. float_of_int bins in
-      let wmax = Array.fold_left max 0 weights in
-      let plan = Util.Pool.pack_bins ~weights ~bins in
-      float_of_int wmax > 1.5 *. mean
-      || Array.for_all
-           (fun bin ->
-             let load = Array.fold_left (fun a j -> a + weights.(j)) 0 bin in
-             float_of_int load <= 2.0 *. mean)
-           plan)
-
-let test_pack_bins_hot_isolated () =
-  (* One dominating weight must not drag neighbors into its bin. *)
-  let weights = Array.init 12 (fun i -> if i = 3 then 1000 else 1) in
-  let plan = Util.Pool.pack_bins ~weights ~bins:4 in
-  Array.iter
-    (fun bin ->
-      if Array.exists (( = ) 3) bin then
-        Alcotest.(check int) "hot index is alone in its bin" 1 (Array.length bin))
-    plan
-
-let test_pack_bins_edges () =
-  checkb "bins=1 keeps everything together" true
-    (Util.Pool.pack_bins ~weights:[| 3; 1; 2 |] ~bins:1 = [| [| 0; 1; 2 |] |]);
-  checkb "empty weights give empty bins" true
-    (Array.for_all (fun b -> b = [||]) (Util.Pool.pack_bins ~weights:[||] ~bins:3));
-  checkb "non-positive bins clamp to 1" true
-    (Util.Pool.pack_bins ~weights:[| 1; 1 |] ~bins:0 = [| [| 0; 1 |] |])
-
 let test_shutdown_idempotent_and_final () =
   let p = Util.Pool.create ~num_domains:2 () in
   Util.Pool.shutdown p;
@@ -213,13 +162,6 @@ let () =
           Alcotest.test_case "last_job_counts covers the batch" `Quick test_last_job_counts;
           Alcotest.test_case "last_job_counts, zero workers" `Quick
             test_last_job_counts_zero_workers;
-        ] );
-      ( "pack_bins",
-        [
-          QCheck_alcotest.to_alcotest prop_pack_bins_partition;
-          QCheck_alcotest.to_alcotest prop_pack_bins_balance;
-          Alcotest.test_case "hot index isolated" `Quick test_pack_bins_hot_isolated;
-          Alcotest.test_case "edge cases" `Quick test_pack_bins_edges;
         ] );
       ( "lifecycle",
         [

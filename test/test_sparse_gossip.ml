@@ -1,8 +1,7 @@
 (* Tests for Algorithm 5 (SparseNetwork, Claim 20) and Algorithm 6
-   (Gossip / responsible gossip, Claim 21), the executor independence of
-   the sparse protocol family (sequential vs 2- and 8-domain pools), and
-   the giant tier's streaming union-find and [run_iter] against their
-   materialized references. *)
+   (Gossip / responsible gossip, Claim 21), the replay determinism of the
+   sparse protocol family, and the giant tier's streaming union-find and
+   [run_iter] against their materialized references. *)
 
 let checkb = Alcotest.(check bool)
 let checki = Alcotest.(check int)
@@ -243,16 +242,12 @@ let test_gossip_warning_suppression_still_safe () =
       rest);
   checkb "ran" true (Array.length outs = n)
 
-(* ---- Executor independence of the sparse family ---- *)
+(* ---- Replay determinism of the sparse family ---- *)
 
 (* Algorithm 5, gossip, committee election, LocalCommitteeElect and
-   Theorem 2 run on a fresh network per executor — sequential, and pools
-   of 2 and 8 domains — from the same seed: every (result, observables)
-   pair must equal the sequential run. *)
-
-let pool1 = lazy (Util.Pool.create ~num_domains:1 ())
-let pool7 = lazy (Util.Pool.create ~num_domains:7 ())
-let all_pools () = [ None; Some (Lazy.force pool1); Some (Lazy.force pool7) ]
+   Theorem 2 run twice on fresh networks from the same seed: the two
+   (result, observables) pairs must be equal, which is what lets a seed
+   replay a run and a report diff detect accounting drift. *)
 
 (* Everything observable about a network's accounting, as one comparable
    value.  Peer sets are compared element-wise (sorted lists), never as
@@ -281,15 +276,14 @@ let observe net =
     active = Netsim.Net.active_parties net;
   }
 
-let executors ~name ~n (f : pool:Util.Pool.t option -> Netsim.Net.t -> Util.Prng.t -> 'a) =
-  let run pool =
+let replays ~name ~n (f : Netsim.Net.t -> Util.Prng.t -> 'a) =
+  let run () =
     let net = Netsim.Net.create n in
     let rng = Util.Prng.create 42 in
-    let r = f ~pool net rng in
+    let r = f net rng in
     (r, observe net)
   in
-  let reference = run None in
-  List.iter (fun pool -> checkb name true (run pool = reference)) (all_pools ())
+  checkb name true (run () = run ())
 
 (* Iset-valued outcomes are normalized to sorted lists before comparison
    (outcome {e contents} are the contract, AVL shape is not). *)
@@ -299,40 +293,40 @@ let norm_iset_outs outs =
        | Mpc.Outcome.Output s -> Ok (Util.Iset.to_sorted_list s)
        | Mpc.Outcome.Abort r -> Error r)
 
-let test_sparse_network_executors () =
+let test_sparse_network_replays () =
   let n = 48 and h = 16 in
   let rng0 = Util.Prng.create 9 in
   let corruption = Netsim.Corruption.random rng0 ~n ~h in
-  executors ~name:"sparse_network honest" ~n (fun ~pool net rng ->
+  replays ~name:"sparse_network honest" ~n (fun net rng ->
       norm_iset_outs
-        (Mpc.Sparse_network.run ?pool net rng (params n h) ~corruption
+        (Mpc.Sparse_network.run net rng (params n h) ~corruption
            ~adv:Mpc.Sparse_network.honest_adv))
 
-let test_sparse_network_flood_executors () =
+let test_sparse_network_flood_replays () =
   (* The flooding adversary trips the 2d inbox bound, so abort paths and
-     the Flooded reason string must also be executor-independent. *)
+     the Flooded reason string must replay too. *)
   let n = 40 and h = 8 in
   let victim = 5 in
   let rng0 = Util.Prng.create 88 in
   let corruption = Netsim.Corruption.targeting rng0 ~n ~h ~victim in
-  executors ~name:"sparse_network flood" ~n (fun ~pool net rng ->
+  replays ~name:"sparse_network flood" ~n (fun net rng ->
       norm_iset_outs
-        (Mpc.Sparse_network.run ?pool net rng (params n h) ~corruption
+        (Mpc.Sparse_network.run net rng (params n h) ~corruption
            ~adv:(Mpc.Attacks.flood_victim ~victim)))
 
 let ring_graph n degree =
   Array.init n (fun i -> Util.Iset.of_list (List.init degree (fun k -> (i + k + 1) mod n)))
 
-let test_gossip_executors () =
+let test_gossip_replays () =
   let n = 32 and h = 16 in
   let graph = ring_graph n 4 in
   let sources = [ (0, Bytes.of_string "alpha"); (7, Bytes.of_string "beta") ] in
   let corruption = Netsim.Corruption.none ~n in
-  executors ~name:"gossip honest" ~n (fun ~pool net rng ->
-      Mpc.Gossip.run ?pool net rng (params n h) ~graph ~sources ~corruption
+  replays ~name:"gossip honest" ~n (fun net rng ->
+      Mpc.Gossip.run net rng (params n h) ~graph ~sources ~corruption
         ~adv:Mpc.Gossip.honest_adv)
 
-let test_gossip_adversarial_executors () =
+let test_gossip_adversarial_replays () =
   let n = 32 and h = 8 in
   let graph = ring_graph n 4 in
   let sources = [ (0, Bytes.of_string "alpha"); (3, Bytes.of_string "beta") ] in
@@ -340,36 +334,36 @@ let test_gossip_adversarial_executors () =
   let corruption = Netsim.Corruption.random rng0 ~n ~h in
   List.iter
     (fun (label, adv) ->
-      executors ~name:("gossip " ^ label) ~n (fun ~pool net rng ->
-          Mpc.Gossip.run ?pool net rng (params n h) ~graph ~sources ~corruption ~adv))
+      replays ~name:("gossip " ^ label) ~n (fun net rng ->
+          Mpc.Gossip.run net rng (params n h) ~graph ~sources ~corruption ~adv))
     [
       ("equivocate", Mpc.Attacks.gossip_equivocate);
       ("forge", Mpc.Attacks.gossip_forge ~origin:0 ~value:(Bytes.of_string "forged"));
     ]
 
-let test_committee_executors () =
+let test_committee_replays () =
   let n = 64 and h = 32 in
   let rng0 = Util.Prng.create 5 in
   let corruption = Netsim.Corruption.random rng0 ~n ~h in
   List.iter
     (fun (label, adv) ->
-      executors ~name:("committee " ^ label) ~n (fun ~pool net rng ->
-          Mpc.Committee.run ?pool net rng (params ~alpha:2 n h) ~corruption ~adv))
+      replays ~name:("committee " ^ label) ~n (fun net rng ->
+          Mpc.Committee.run net rng (params ~alpha:2 n h) ~corruption ~adv))
     [ ("honest", Mpc.Committee.honest_adv); ("claim-all", Mpc.Attacks.claim_all) ]
 
-let test_local_committee_executors () =
+let test_local_committee_replays () =
   let n = 36 and h = 18 in
   let rng0 = Util.Prng.create 11 in
   let corruption = Netsim.Corruption.random rng0 ~n ~h in
-  executors ~name:"local_committee" ~n (fun ~pool net rng ->
+  replays ~name:"local_committee" ~n (fun net rng ->
       let r =
-        Mpc.Local_committee.run ?pool net rng (params ~alpha:2 n h) ~corruption
+        Mpc.Local_committee.run net rng (params ~alpha:2 n h) ~corruption
           ~adv:Mpc.Local_committee.honest_adv
       in
       (Array.to_list r.Mpc.Local_committee.views,
        List.map Util.Iset.to_sorted_list (Array.to_list r.Mpc.Local_committee.graph)))
 
-let test_theorem2_executors () =
+let test_theorem2_replays () =
   (* The deepest stack over the network: routing + two gossip phases +
      threshold decryption, end to end. *)
   let n = 24 and h = 12 in
@@ -384,8 +378,8 @@ let test_theorem2_executors () =
   let inputs = Array.init n (fun i -> i land 1) in
   let rng0 = Util.Prng.create 23 in
   let corruption = Netsim.Corruption.random rng0 ~n ~h in
-  executors ~name:"theorem2" ~n (fun ~pool net rng ->
-      Mpc.Local_mpc.run_theorem2 ?pool net rng config ~corruption ~inputs
+  replays ~name:"theorem2" ~n (fun net rng ->
+      Mpc.Local_mpc.run_theorem2 net rng config ~corruption ~inputs
         ~adv:Mpc.Local_mpc.honest_theorem2_adv)
 
 (* ---- Streaming connectivity vs the BFS reference ------------------ *)
@@ -473,7 +467,7 @@ let test_union_find_matches_bfs () =
     cases
 
 (* run_iter's streaming order and contents against the materialized
-   array, both pooled and not. *)
+   array. *)
 let test_run_iter_matches_run () =
   let n = 60 and h = 20 in
   let rng0 = Util.Prng.create 13 in
@@ -485,24 +479,21 @@ let test_run_iter_matches_run () =
       (Mpc.Sparse_network.run net rng (params n h) ~corruption
          ~adv:Mpc.Sparse_network.honest_adv)
   in
-  List.iter
-    (fun pool ->
-      let net = Netsim.Net.create n in
-      let rng = Util.Prng.create 3 in
-      let seen = ref [] in
-      Mpc.Sparse_network.run_iter ?pool net rng (params n h) ~corruption
-        ~adv:Mpc.Sparse_network.honest_adv ~f:(fun i out -> seen := (i, out) :: !seen);
-      let ordered = List.rev !seen in
-      checkb "run_iter visits 0..n-1 in order" true (List.map fst ordered = List.init n Fun.id);
-      checkb "run_iter outcomes match run" true
-        (norm_iset_outs (Array.of_list (List.map snd ordered)) = reference))
-    (all_pools ())
+  let net = Netsim.Net.create n in
+  let rng = Util.Prng.create 3 in
+  let seen = ref [] in
+  Mpc.Sparse_network.run_iter net rng (params n h) ~corruption
+    ~adv:Mpc.Sparse_network.honest_adv ~f:(fun i out -> seen := (i, out) :: !seen);
+  let ordered = List.rev !seen in
+  checkb "run_iter visits 0..n-1 in order" true (List.map fst ordered = List.init n Fun.id);
+  checkb "run_iter outcomes match run" true
+    (norm_iset_outs (Array.of_list (List.map snd ordered)) = reference)
 
 (* ---- SparseNetwork against its list-and-sort reference ---- *)
 
 (* [run_iter] as it stood before outcomes were built by one merge:
    senders deduplicated with [List.sort_uniq], the out-hops added to the
-   set one by one, hops sampled as lists.  Sequential path only. *)
+   set one by one, hops sampled as lists. *)
 module Reference = struct
   let notify_payload = Bytes.make 1 '\001'
 
@@ -618,13 +609,13 @@ let () =
         ] );
       ( "protocols",
         [
-          Alcotest.test_case "sparse_network honest" `Quick test_sparse_network_executors;
-          Alcotest.test_case "sparse_network flood" `Quick test_sparse_network_flood_executors;
-          Alcotest.test_case "gossip honest" `Quick test_gossip_executors;
-          Alcotest.test_case "gossip adversarial" `Quick test_gossip_adversarial_executors;
-          Alcotest.test_case "committee" `Quick test_committee_executors;
-          Alcotest.test_case "local committee" `Quick test_local_committee_executors;
-          Alcotest.test_case "theorem2" `Quick test_theorem2_executors;
+          Alcotest.test_case "sparse_network honest" `Quick test_sparse_network_replays;
+          Alcotest.test_case "sparse_network flood" `Quick test_sparse_network_flood_replays;
+          Alcotest.test_case "gossip honest" `Quick test_gossip_replays;
+          Alcotest.test_case "gossip adversarial" `Quick test_gossip_adversarial_replays;
+          Alcotest.test_case "committee" `Quick test_committee_replays;
+          Alcotest.test_case "local committee" `Quick test_local_committee_replays;
+          Alcotest.test_case "theorem2" `Quick test_theorem2_replays;
         ] );
       ( "streaming",
         [

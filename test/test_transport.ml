@@ -3,8 +3,8 @@
 
    - differential: the sync transports and the event transport on the
      degenerate zero-latency-FIFO config produce identical outcomes AND
-     identical accounting for real protocols, at several pool sizes —
-     the byte-identity argument for the refactor;
+     identical accounting for real protocols — the byte-identity
+     argument for the refactor;
    - determinism: the event schedule is a pure function of (rng, config,
      submissions), so equal seeds replay equal transcripts;
    - fairness: under an adversarial scheduler every message is delivered
@@ -13,12 +13,6 @@
 
 let checkb = Alcotest.(check bool)
 let checki = Alcotest.(check int)
-
-let pool2 = lazy (Util.Pool.create ~num_domains:2 ())
-let pool8 = lazy (Util.Pool.create ~num_domains:8 ())
-
-let pools = [ ("seq", None); ("pool2", Some pool2); ("pool8", Some pool8) ]
-let force = Option.map Lazy.force
 
 let params n h = Mpc.Params.make ~n ~h ~lambda:8 ~alpha:2 ()
 
@@ -37,25 +31,18 @@ let zero_latency_net n =
 (* Run [f] once on a plain sync net and once on the zero-latency event
    net; outcomes and all four counters must agree exactly. *)
 let differential label f =
-  List.iter
-    (fun (pname, pool) ->
-      let pool = force pool in
-      let sync_net = Netsim.Net.create 16 in
-      let sync_out = f ?pool:(Option.map Fun.id pool) sync_net in
-      let ev_net = zero_latency_net 16 in
-      let ev_out = f ?pool:(Option.map Fun.id pool) ev_net in
-      checkb (Printf.sprintf "%s/%s: outcomes equal" label pname) true (sync_out = ev_out);
-      checkb
-        (Printf.sprintf "%s/%s: accounting equal" label pname)
-        true
-        (counters sync_net = counters ev_net))
-    pools
+  let sync_net = Netsim.Net.create 16 in
+  let sync_out = f sync_net in
+  let ev_net = zero_latency_net 16 in
+  let ev_out = f ev_net in
+  checkb (label ^ ": outcomes equal") true (sync_out = ev_out);
+  checkb (label ^ ": accounting equal") true (counters sync_net = counters ev_net)
 
 let test_differential_equality () =
-  differential "equality" (fun ?pool net ->
+  differential "equality" (fun net ->
       let n = Netsim.Net.n net in
       let rng = Util.Prng.create 11 in
-      Mpc.Equality.pairwise ?pool net rng (params n (n / 2))
+      Mpc.Equality.pairwise net rng (params n (n / 2))
         ~members:(List.init n (fun i -> i))
         ~value:(fun i -> Bytes.make 24 (Char.chr (65 + (i mod 3))))
         ~corruption:(Netsim.Corruption.none ~n)
@@ -64,13 +51,13 @@ let test_differential_equality () =
 let test_differential_broadcast () =
   List.iter
     (fun (vname, variant) ->
-      differential ("broadcast-" ^ vname) (fun ?pool net ->
+      differential ("broadcast-" ^ vname) (fun net ->
           let n = Netsim.Net.n net in
           let rng = Util.Prng.create 12 in
           let corruption =
             Netsim.Corruption.random (Util.Prng.create 5) ~n ~h:(n / 2)
           in
-          Mpc.Broadcast.run ?pool net rng (params n (n / 2)) ~variant ~sender:0
+          Mpc.Broadcast.run net rng (params n (n / 2)) ~variant ~sender:0
             ~value:(Bytes.of_string "transport differential")
             ~corruption
             ~adv:
@@ -79,12 +66,12 @@ let test_differential_broadcast () =
     [ ("naive", Mpc.Broadcast.Naive); ("fp", Mpc.Broadcast.Fingerprinted) ]
 
 let test_differential_gossip () =
-  differential "gossip" (fun ?pool net ->
+  differential "gossip" (fun net ->
       let n = Netsim.Net.n net in
       let rng = Util.Prng.create 13 in
       let graph = Array.init n (fun i -> Util.Iset.remove i (Util.Iset.range 0 (n - 1))) in
       let sources = [ (0, Bytes.of_string "rumor-a"); (3, Bytes.of_string "rumor-b") ] in
-      Mpc.Gossip.run ?pool net rng (params n (n / 2)) ~graph ~sources
+      Mpc.Gossip.run net rng (params n (n / 2)) ~graph ~sources
         ~corruption:(Netsim.Corruption.none ~n)
         ~adv:Mpc.Gossip.honest_adv)
 

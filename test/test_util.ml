@@ -360,12 +360,14 @@ let test_codec_error_offsets () =
   in
   checkb "bool names offset" true (m = "bad bool byte 7 at offset 1")
 
-(* A claimed length near [max_int] is a Decode_error at any offset.  The
-   bounds check once added the length to the cursor, which wraps
-   negative: the copying readers then raised Invalid_argument from
-   [Bytes.sub], and [read_bytes_view] returned a view at a negative
-   offset.  [read_raw] takes the length as an argument at the given
-   cursor offset; the others read it as a varint starting there. *)
+(* A claimed length near [max_int], or a negative one, is a Decode_error
+   at any offset.  The bounds check once added the length to the cursor,
+   which wraps negative: the copying readers then raised Invalid_argument
+   from [Bytes.sub], and [read_bytes_view] returned a view at a negative
+   offset.  A negative list or array count once passed the count check
+   and raised Invalid_argument from [List.init]/[Array.init].  [read_raw]
+   takes the length as an argument at the given cursor offset; the
+   others read it as a varint starting there. *)
 let test_codec_huge_lengths () =
   let readers =
     [
@@ -373,6 +375,8 @@ let test_codec_huge_lengths () =
       ("read_bytes", fun r _ -> ignore (Util.Codec.read_bytes r));
       ("read_string", fun r _ -> ignore (Util.Codec.read_string r));
       ("read_bytes_view", fun r _ -> ignore (Util.Codec.read_bytes_view r));
+      ("read_list", fun r _ -> ignore (Util.Codec.read_list r Util.Codec.read_byte));
+      ("read_array", fun r _ -> ignore (Util.Codec.read_array r Util.Codec.read_byte));
     ]
   in
   List.iter
@@ -402,7 +406,7 @@ let test_codec_huge_lengths () =
                    read r len;
                    false
                  with Util.Codec.Decode_error _ -> true))
-            [ max_int; max_int - 5 ])
+            [ max_int; max_int - 5; -1; min_int ])
         [ 0; 1 ])
     readers
 
